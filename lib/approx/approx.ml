@@ -24,7 +24,6 @@ let validate_eps eps =
   else Error "eps must be a positive finite float"
 
 let sp_solve = Obs.intern "approx.solve"
-let sp_component = Obs.intern "approx.component"
 
 (* per-problem denominator callback and a-priori integer λ* bounds *)
 let problem_spec problem g =
@@ -64,10 +63,8 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
   let result =
     if Array.length subs = 0 then None
     else begin
-      let solve_sub (sp : Scc.subproblem) =
-        (match budget with Some b -> Budget.check b | None -> ());
-        let tr = !Obs.enabled_flag in
-        if tr then Trace.begin_span sp_component;
+      let solve_sub ?pool (sp : Scc.subproblem) =
+        Option.iter Budget.check budget;
         let sub = sp.Scc.sub in
         let den, bounds = problem_spec problem sub in
         let sub_stats = Stats.create () in
@@ -75,77 +72,35 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
           Approx_lane.solve ~stats:sub_stats ?budget ?pool ~den ~bounds ~width
             ~max_rounds:(truncation ~eps (Digraph.n sub)) sub
         in
-        if tr then Trace.end_span sp_component;
         let witness = List.map (fun a -> sp.Scc.arc_of_sub.(a)) r.Approx_lane.witness in
-        ({ r with Approx_lane.witness }, witness, sub_stats)
+        ({ r with Approx_lane.witness }, sub_stats)
       in
-      (* the same fan-out and arbitration as Solver.solve: components in
-         parallel, the inner pool only where workers would idle; results
-         land in component order so the reduction is job-count-blind *)
-      let results =
-        match pool with
-        | None when jobs = 1 ->
-          let out = Array.make (Array.length subs) None in
-          (try Array.iteri (fun i sp -> out.(i) <- Some (solve_sub sp)) subs
-           with Budget.Exceeded _ -> ());
-          out
-        | _ ->
-          let p, owned =
-            match pool with
-            | Some p -> (p, false)
-            | None -> (Executor.create ~jobs, true)
-          in
-          let compute () =
-            subs
-            |> Array.map (fun sp -> Executor.async p (fun () -> solve_sub sp))
-            |> Array.map (fun fut ->
-                   match Executor.await p fut with
-                   | v -> Some v
-                   | exception Budget.Exceeded _ -> None)
-          in
-          if owned then
-            Fun.protect ~finally:(fun () -> Executor.shutdown p) compute
-          else compute ()
+      let results, cause =
+        Fanout.with_pool ?pool ~jobs (fun pool ->
+            Fanout.run ?pool ~arcs:(fun sp -> Digraph.m sp.Scc.sub) solve_sub
+              subs)
       in
-      let merged_stats = ref (Stats.create ()) in
-      let lo = ref None in
-      let upper = ref None in
-      let components = ref 0 in
-      let tests = ref 0 in
-      let rounds = ref 0 in
-      let all_converged = ref true in
-      let skipped = ref false in
-      Array.iter
-        (function
-          | None -> skipped := true
-          | Some ((r : Approx_lane.t), witness, sub_stats) ->
-            incr components;
-            merged_stats := Stats.merge !merged_stats sub_stats;
-            tests := !tests + r.Approx_lane.tests;
-            rounds := !rounds + r.Approx_lane.rounds;
-            if not r.Approx_lane.converged then all_converged := false;
-            (match !lo with
-            | Some l when Ratio.leq l r.Approx_lane.lo -> ()
-            | _ -> lo := Some r.Approx_lane.lo);
-            (match !upper with
-            | Some (h, _) when Ratio.leq h r.Approx_lane.hi -> ()
-            | _ -> upper := Some (r.Approx_lane.hi, witness)))
-        results;
-      (match stats with
-      | Some s -> Stats.add s !merged_stats
-      | None -> ());
+      let completed = List.filter_map Fun.id (Array.to_list results) in
+      let sum f = List.fold_left (fun acc (r, _) -> acc + f r) 0 completed in
+      Option.iter
+        (fun s -> List.iter (fun (_, sub) -> Stats.add s sub) completed)
+        stats;
+      let lane_best key =
+        Option.map fst (Fanout.best ~key:(fun (r, _) -> key r) results)
+      in
       let den_g, (blo_g, _) = problem_spec problem g_min in
       (* components the budget never reached only widen the interval:
          their λ* is still above the graph-wide a-priori lower bound,
          and any completed component's hi keeps bounding the global
          minimum from above *)
       let lo =
-        if !skipped || !lo = None then Ratio.of_int blo_g
-        else Option.get !lo
+        match lane_best (fun r -> r.Approx_lane.lo) with
+        | Some r when cause = None -> r.Approx_lane.lo
+        | _ -> Ratio.of_int blo_g
       in
       let hi, witness =
-        match !upper with
-        | Some hw -> hw
+        match lane_best (fun r -> r.Approx_lane.hi) with
+        | Some r -> (r.Approx_lane.hi, r.Approx_lane.witness)
         | None ->
           (* every component was budget-skipped: fall back to an exact
              O(n+m) witness so even a fully starved solve certifies *)
@@ -157,7 +112,8 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
           (Critical.ratio_of_cycle g_min ~den:den_g c, c)
       in
       let converged =
-        (not !skipped) && !all_converged
+        cause = None
+        && List.for_all (fun (r, _) -> r.Approx_lane.converged) completed
         && Ratio.to_float hi -. Ratio.to_float lo <= width
       in
       let lo, hi =
@@ -172,9 +128,9 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
           witness;
           eps;
           scale = sc;
-          components = !components;
-          tests = !tests;
-          rounds = !rounds;
+          components = List.length completed;
+          tests = sum (fun r -> r.Approx_lane.tests);
+          rounds = sum (fun r -> r.Approx_lane.rounds);
           converged;
         }
     end

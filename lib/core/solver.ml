@@ -9,46 +9,73 @@ type report = {
   stats : Stats.t;
 }
 
-(* A zero-transit cycle makes the ratio problem ill-posed; such a cycle
-   exists iff the subgraph of zero-transit arcs is cyclic. *)
-let check_ratio_well_posed g =
-  match Critical.cycle_in g (fun a -> Digraph.transit g a = 0) with
-  | Some _ ->
-    invalid_arg "Solver: cycle with zero total transit time \
-                 (cost-to-time ratio undefined)"
-  | None -> ()
-
 (* Exact arithmetic safety: every cross-multiplication in the library
    is bounded by (2·D·W)·D where W = max |weight| and D = the largest
    possible denominator (n for means, total transit for ratios); keep
-   that product far from max_int. *)
-let check_arithmetic_range ~problem g =
-  if Digraph.m g > 0 then begin
-    let w = max 1 (max (abs (Digraph.min_weight g)) (abs (Digraph.max_weight g))) in
+   that product far from max_int.  A zero-transit cycle makes the ratio
+   problem ill-posed; such a cycle exists iff the subgraph of
+   zero-transit arcs is cyclic. *)
+let preflight_values ~problem ~n ~m ~max_abs_weight ~total_transit
+    ~zero_transit_cycle =
+  if m > 0 then begin
+    let w = max 1 max_abs_weight in
     let d =
       match problem with
-      | Cycle_mean -> max 1 (Digraph.n g)
-      | Cycle_ratio -> max (Digraph.n g) (Digraph.total_transit g)
+      | Cycle_mean -> max 1 n
+      | Cycle_ratio -> max n total_transit
     in
     if d > 0 && w > max_int / 8 / d / d then
       invalid_arg
         (Printf.sprintf
            "Solver: weights up to %d on an instance with denominator range \
             %d would overflow exact native-int arithmetic" w d)
-  end
+  end;
+  if problem = Cycle_ratio && zero_transit_cycle () then
+    invalid_arg "Solver: cycle with zero total transit time \
+                 (cost-to-time ratio undefined)"
 
 let preflight ~problem g =
-  check_arithmetic_range ~problem g;
-  match problem with
-  | Cycle_ratio -> check_ratio_well_posed g
-  | Cycle_mean -> ()
+  let m = Digraph.m g in
+  preflight_values ~problem ~n:(Digraph.n g) ~m
+    ~max_abs_weight:
+      (if m = 0 then 0
+       else max (abs (Digraph.min_weight g)) (abs (Digraph.max_weight g)))
+    ~total_transit:
+      (match problem with
+      | Cycle_ratio -> Digraph.total_transit g
+      | Cycle_mean -> 0)
+    ~zero_transit_cycle:(fun () ->
+      Critical.cycle_in g (fun a -> Digraph.transit g a = 0) <> None)
 
 exception Deadline_exceeded of { partial : report option }
 
 let sp_partition = Obs.intern "solver.partition"
-let sp_component = Obs.intern "solver.component"
 let sp_reduce = Obs.intern "solver.reduce"
-let sp_comp_arcs = Obs.intern "solver.component_arcs"
+
+let solve_partition ?pool ~budget (run : Registry.exact_solver) subs =
+  let solve_sub ?pool (sp : Scc.subproblem) =
+    let budget = budget () in
+    Option.iter Budget.check budget;
+    let stats = Stats.create () in
+    let lambda, cycle = run ~stats ?budget ?pool sp.Scc.sub in
+    (lambda, List.map (fun a -> sp.Scc.arc_of_sub.(a)) cycle, stats)
+  in
+  let results, cause =
+    Fanout.run ?pool ~arcs:(fun sp -> Digraph.m sp.Scc.sub) solve_sub subs
+  in
+  let tr = !Obs.enabled_flag in
+  if tr then Trace.begin_span sp_reduce;
+  let completed = List.filter_map Fun.id (Array.to_list results) in
+  let stats = Stats.create () in
+  List.iter (fun (_, _, s) -> Stats.add stats s) completed;
+  let report =
+    Option.map
+      (fun (lambda, cycle, _) ->
+        { lambda; cycle; components = List.length completed; stats })
+      (Fanout.best ~key:(fun (lambda, _, _) -> lambda) results)
+  in
+  if tr then Trace.end_span sp_reduce;
+  (report, cause)
 
 let solve ?(objective = Minimize) ?(problem = Cycle_mean) ?budget ?(jobs = 1)
     ?pool ~algorithm g =
@@ -64,109 +91,20 @@ let solve ?(objective = Minimize) ?(problem = Cycle_mean) ?budget ?(jobs = 1)
   in
   let tr = !Obs.enabled_flag in
   if tr then Trace.begin_span sp_partition;
-  let scc = Scc.compute g_min in
-  (* one O(n+m) sweep builds every cyclic-SCC subproblem, replacing the
-     former per-component Digraph.induced scans (O(m · #SCCs)) *)
-  let subs = Scc.partition g_min scc in
+  let subs = Scc.partition g_min (Scc.compute g_min) in
   if tr then Trace.end_span sp_partition;
-  let solve_sub ?pool (sp : Scc.subproblem) =
-    (match budget with Some b -> Budget.check b | None -> ());
-    let tr = !Obs.enabled_flag in
-    if tr then begin
-      Trace.begin_span sp_component;
-      Trace.counter_int sp_comp_arcs (Digraph.m sp.Scc.sub)
-    end;
-    let sub_stats = Stats.create () in
-    let lambda, cycle = run ~stats:sub_stats ?budget ?pool sp.Scc.sub in
-    if tr then Trace.end_span sp_component;
-    (lambda, List.map (fun a -> sp.Scc.arc_of_sub.(a)) cycle, sub_stats)
+  let report, cause =
+    Fanout.with_pool ?pool ~jobs (fun pool ->
+        solve_partition ?pool ~budget:(fun () -> budget) run subs)
   in
-  (* Per-component results in component (reverse topological) order;
-     [None] marks a component that did not complete within the budget.
-     Serial and parallel paths fill the same array, so the reduction
-     below is identical for every job count. *)
-  let exceeded = ref false in
-  let results =
-    match pool with
-    | None when jobs = 1 ->
-      let out = Array.make (Array.length subs) None in
-      (try Array.iteri (fun i sp -> out.(i) <- Some (solve_sub sp)) subs
-       with Budget.Exceeded _ -> exceeded := true);
-      out
-    | _ ->
-      let p, owned =
-        match pool with
-        | Some p -> (p, false)
-        | None -> (Executor.create ~jobs, true)
-      in
-      (* Arbitration between the two levels of parallelism.  The pool
-         can serve both: components fan out here, and a Howard solve
-         can re-use it to chunk its improvement sweep (help-first
-         waiting makes the nesting deadlock-free).  But when the
-         component fan-out already saturates the workers, nested sweep
-         chunks only add queueing and merge overhead — so a component
-         gets the inner pool only if the fan-out leaves workers idle
-         (fewer components than jobs) or the component dominates the
-         cyclic arc mass (≥ half; one giant SCC among crumbs is
-         exactly where the intra-solve sweep is the only win).  Purely
-         a placement decision: results are bit-identical either way. *)
-      let total_arcs =
-        Array.fold_left (fun acc sp -> acc + Digraph.m sp.Scc.sub) 0 subs
-      in
-      let saturated = Array.length subs >= Executor.jobs p in
-      let inner_pool sp =
-        if (not saturated) || 2 * Digraph.m sp.Scc.sub >= total_arcs then
-          Some p
-        else None
-      in
-      let compute () =
-        subs
-        |> Array.map (fun sp ->
-               let inner = inner_pool sp in
-               Executor.async p (fun () -> solve_sub ?pool:inner sp))
-        |> Array.map (fun fut ->
-               match Executor.await p fut with
-               | v -> Some v
-               | exception Budget.Exceeded _ ->
-                 exceeded := true;
-                 None)
-      in
-      if owned then
-        Fun.protect ~finally:(fun () -> Executor.shutdown p) compute
-      else compute ()
+  let report =
+    match objective with
+    | Minimize -> report
+    | Maximize ->
+      Option.map (fun r -> { r with lambda = Ratio.neg r.lambda }) report
   in
-  (* deterministic reduction: fold completed components in component
-     order, whatever order the domains finished in; ties keep the
-     lower-id component's witness, exactly as the serial loop did *)
-  if tr then Trace.begin_span sp_reduce;
-  let stats = ref (Stats.create ()) in
-  let best = ref None in
-  let components = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some (lambda, cycle, sub_stats) -> (
-        incr components;
-        stats := Stats.merge !stats sub_stats;
-        match !best with
-        | Some (bl, _) when Ratio.leq bl lambda -> ()
-        | _ -> best := Some (lambda, cycle)))
-    results;
-  if tr then Trace.end_span sp_reduce;
-  (* best-so-far as a full report, with the objective sign restored —
-     this is both the happy-path return value and the partial result
-     carried by Deadline_exceeded *)
-  let current_report () =
-    match !best with
-    | None -> None
-    | Some (lambda, cycle) ->
-      let lambda =
-        match objective with Minimize -> lambda | Maximize -> Ratio.neg lambda
-      in
-      Some { lambda; cycle; components = !components; stats = !stats }
-  in
-  if !exceeded then raise (Deadline_exceeded { partial = current_report () })
-  else current_report ()
+  if cause <> None then raise (Deadline_exceeded { partial = report })
+  else report
 
 let minimum_cycle_mean ?(algorithm = Registry.Howard) ?jobs g =
   solve ~objective:Minimize ~problem:Cycle_mean ?jobs ~algorithm g

@@ -20,19 +20,32 @@ type report = {
 }
 
 val preflight : problem:problem -> Digraph.t -> unit
-(** The well-posedness checks of {!solve}, exposed for front-ends
-    (such as the batch engine) that drive the per-component loop
-    themselves.
+(** The well-posedness checks of {!solve}, for front-ends that run
+    {!solve_partition} or another lane directly — neither checks — and
+    must reject exactly what {!solve} rejects.
     @raise Invalid_argument under the conditions documented on
     {!solve}. *)
 
+val preflight_values :
+  problem:problem ->
+  n:int ->
+  m:int ->
+  max_abs_weight:int ->
+  total_transit:int ->
+  zero_transit_cycle:(unit -> bool) ->
+  unit
+(** {!preflight} over precomputed values of the instance: node and arc
+    counts, the largest [|weight|], the total transit time (read only
+    for [Cycle_ratio]) and whether some cycle has zero total transit
+    time (called only for [Cycle_ratio]).  For callers that maintain
+    these values incrementally; same conditions, same messages. *)
+
 exception Deadline_exceeded of { partial : report option }
-(** Raised by {!solve} when the supplied budget runs out: [partial] is
-    the best optimum over the components that completed (an upper bound
-    on the true optimum for minimization, lower for maximization), or
-    [None] if no component completed.  Under [~jobs]/[~pool] the
-    completed set may include components beyond the first failure —
-    every finished component contributes to the bound. *)
+(** Raised by {!solve} when the supplied budget runs out.  Every
+    component is attempted, serially and in parallel alike; [partial]
+    is the best optimum over the components that completed (an upper
+    bound on the true optimum for minimization, lower for
+    maximization), or [None] if no component completed. *)
 
 val solve :
   ?objective:objective ->
@@ -74,6 +87,21 @@ val solve :
     with [D] = node count for means and total transit time for
     ratios — far beyond the paper's [1..10000] weights at any
     realistic size), or if [jobs < 1]. *)
+
+val solve_partition :
+  ?pool:Executor.t ->
+  budget:(unit -> Budget.t option) ->
+  Registry.exact_solver ->
+  Scc.subproblem array ->
+  report option * Budget.cause option
+(** The per-component loop of {!solve} over cyclic SCC subproblems of a
+    graph already in min form (weights negated for maximization): one
+    {!Fanout.run} over the components, with [budget ()] called once per
+    component and checked before it starts.  The report holds the
+    min-form optimum over the components that completed, their count
+    and merged stats, with witnesses mapped back to the partitioned
+    graph's arc ids; [None] if none completed.  The cause is
+    {!Fanout.run}'s. *)
 
 (** {1 Convenience wrappers} — default algorithm {!Registry.Howard},
     the study's overall winner. *)

@@ -333,8 +333,8 @@ let apply t u =
   | Remove_arc { arc } -> remove_arc t arc
 
 (* ------------------------------------------------------------------ *)
-(* Preflight — same checks, same messages as Solver.preflight, but     *)
-(* O(1) per query from incrementally maintained aggregates.            *)
+(* Preflight — Solver's checks, O(1) per query from incrementally      *)
+(* maintained aggregates.                                              *)
 (* ------------------------------------------------------------------ *)
 
 let rescan_wabs t =
@@ -346,37 +346,21 @@ let rescan_wabs t =
   t.wabs <- !w;
   t.wabs_stale <- false
 
-let preflight t =
-  if t.live > 0 then begin
-    if t.wabs_stale then rescan_wabs t;
-    let w = max 1 t.wabs in
-    let d =
-      match t.prob with
-      | Solver.Cycle_mean -> max 1 t.nn
-      | Solver.Cycle_ratio -> max t.nn t.total_tt
-    in
-    if d > 0 && w > max_int / 8 / d / d then
-      invalid_arg
-        (Printf.sprintf
-           "Solver: weights up to %d on an instance with denominator range \
-            %d would overflow exact native-int arithmetic" w d)
-  end;
-  if t.prob = Solver.Cycle_ratio then begin
+let zero_transit_cycle t =
+  match t.ratio_ok with
+  | Some ok -> not ok
+  | None ->
     let ok =
-      match t.ratio_ok with
-      | Some ok -> ok
-      | None ->
-        let ok =
-          Critical.cycle_in t.mat (fun a -> Digraph.transit t.mat a = 0)
-          = None
-        in
-        t.ratio_ok <- Some ok;
-        ok
+      Critical.cycle_in t.mat (fun a -> Digraph.transit t.mat a = 0) = None
     in
-    if not ok then
-      invalid_arg "Solver: cycle with zero total transit time \
-                   (cost-to-time ratio undefined)"
-  end
+    t.ratio_ok <- Some ok;
+    not ok
+
+let preflight t =
+  if t.wabs_stale && t.live > 0 then rescan_wabs t;
+  Solver.preflight_values ~problem:t.prob ~n:t.nn ~m:t.live
+    ~max_abs_weight:t.wabs ~total_transit:t.total_tt
+    ~zero_transit_cycle:(fun () -> zero_transit_cycle t)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -405,7 +389,7 @@ let warm_problem t =
   | Solver.Cycle_mean -> Warm.Mean
   | Solver.Cycle_ratio -> Warm.Ratio
 
-let solve_part t ?pool ci (p : part) scratch =
+let solve_part t ?pool ~scratch ci (p : part) =
   let policy = assemble_policy t ci p in
   let k = Array.length p.p_nodes in
   let pot = Array.make k 0.0 in
@@ -418,11 +402,11 @@ let solve_part t ?pool ci (p : part) scratch =
      it confirmable by a single location pass *)
   let hint = Option.map fst p.p_result in
   (* [pool] chunks the improvement sweep inside this component — the
-     interesting case being one giant dirty SCC, where the
-     per-component fan-out of [query] has nothing to parallelize; the
-     caller arbitrates which components get it *)
+     interesting case being one giant dirty SCC, where the fan-out of
+     [query] has nothing to parallelize; Fanout.run decides which
+     components get it *)
   let lambda, cyc, pol =
-    Warm.solve_warm ~stats:st ~policy ~potentials:pot ?scratch ?hint
+    Warm.solve_warm ~stats:st ~policy ~potentials:pot ~scratch ?hint
       ?pool (warm_problem t) p.p_sub
   in
   (lambda, List.map (fun i -> p.p_arcs.(i)) cyc, pol, pot, st)
@@ -435,84 +419,48 @@ let query t =
     preflight t;
     let parts = t.parts in
     let k = Array.length parts in
-    let dirty = ref [] in
-    for ci = k - 1 downto 0 do
-      if parts.(ci).p_dirty then dirty := ci :: !dirty
-    done;
-    let dirty = !dirty in
-    let resolved = List.length dirty in
-    (* re-solve dirty components; [solved] lines up with [dirty] *)
-    let solved =
-      match t.pool with
-      | Some pool when resolved > 1 ->
-        (* each task gets its own scratch and stats; the session
-           scratch is not shared across domains.  Same two-level
-           arbitration as Solver.solve: a dirty component only nests
-           the chunked sweep if the fan-out leaves workers idle or it
-           holds at least half the dirty arc mass. *)
-        let total_arcs =
-          List.fold_left
-            (fun acc ci -> acc + Digraph.m parts.(ci).p_sub)
-            0 dirty
-        in
-        let saturated = resolved >= Executor.jobs pool in
+    let dirty =
+      Array.of_list
+        (List.filter (fun ci -> parts.(ci).p_dirty) (List.init k Fun.id))
+    in
+    let resolved = Array.length dirty in
+    (* the session scratch serves every re-solve on the calling domain,
+       so the steady path allocates no fresh workspace; pooled tasks
+       must not share it *)
+    let shared = Fanout.serial ?pool:t.pool resolved in
+    let solved, _ =
+      Fanout.run ?pool:t.pool
+        ~arcs:(fun ci -> Digraph.m parts.(ci).p_sub)
+        (fun ?pool ci ->
+          let scratch =
+            if shared then t.scratch else Howard.create_scratch ()
+          in
+          solve_part t ?pool ~scratch ci parts.(ci))
         dirty
-        |> List.map (fun ci ->
-               let inner =
-                 if
-                   (not saturated)
-                   || 2 * Digraph.m parts.(ci).p_sub >= total_arcs
-                 then Some pool
-                 else None
-               in
-               Executor.async pool (fun () ->
-                   solve_part t ?pool:inner ci parts.(ci)
-                     (Some (Howard.create_scratch ()))))
-        |> List.map (Executor.await pool)
-      | _ ->
-        (* serial: thread the session's one scratch through every
-           re-solve, so the steady path allocates no fresh workspace *)
-        List.map
-          (fun ci -> solve_part t ?pool:t.pool ci parts.(ci) (Some t.scratch))
-          dirty
     in
     (* join: commit results and feed final policies back, in component
        order, on the coordinating thread *)
-    let stats = ref (Stats.create ()) in
-    List.iter2
-      (fun ci (lambda, cyc, pol, pot, st) ->
+    let stats = Stats.create () in
+    Array.iteri
+      (fun j ci ->
+        let lambda, cyc, pol, pot, st = Option.get solved.(j) in
         let p = parts.(ci) in
         p.p_result <- Some (lambda, cyc);
         p.p_dirty <- false;
         Array.iteri (fun i a -> t.last_policy.(p.p_nodes.(i)) <- p.p_arcs.(a)) pol;
         Array.iteri (fun i v -> t.last_pot.(p.p_nodes.(i)) <- v) pot;
-        stats := Stats.merge !stats st)
-      dirty solved;
-    (* deterministic reduction: fold every component in component
-       order with Solver.solve's exact tie-breaking (ties keep the
-       lower-id component's witness) *)
-    let best = ref None in
-    Array.iter
-      (fun p ->
-        match p.p_result with
-        | None -> ()
-        | Some (lambda, cycle) -> (
-          match !best with
-          | Some (bl, _) when Ratio.leq bl lambda -> ()
-          | _ -> best := Some (lambda, cycle)))
-      parts;
+        Stats.add stats st)
+      dirty;
     let answer =
-      match !best with
-      | None -> None
-      | Some (lambda, cycle) ->
-        let lambda =
-          match t.obj with
-          | Solver.Minimize -> lambda
-          | Solver.Maximize -> Ratio.neg lambda
-        in
-        Some
-          { epoch = t.ep; lambda; cycle; components = k; resolved;
-            stats = !stats }
+      Option.map
+        (fun (lambda, cycle) ->
+          let lambda =
+            match t.obj with
+            | Solver.Minimize -> lambda
+            | Solver.Maximize -> Ratio.neg lambda
+          in
+          { epoch = t.ep; lambda; cycle; components = k; resolved; stats })
+        (Fanout.best ~key:fst (Array.map (fun p -> p.p_result) parts))
     in
     t.last_report <- Some (t.ep, answer);
     answer

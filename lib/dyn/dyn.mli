@@ -20,9 +20,9 @@
       Howard seeded from the component's last policy through the shared
       {!Warm} core and the kernel's reusable zero-allocation scratch.
 
-    Dirty components re-solve concurrently on the {!Executor} pool with
-    the same deterministic component-order reduction as
-    [Solver.solve ~jobs], so a session query is {b bit-identical} to a
+    Dirty components re-solve through the same {!Fanout} loop and
+    component-order reduction as [Solver.solve ~jobs], concurrently on
+    the {!Executor} pool, so a session query is {b bit-identical} to a
     cold [Solver.solve] of the materialized graph — same λ, same
     witness, same component count, for every job count (property-tested
     in [test_dyn.ml]).  Only [report.stats] differs: it counts the work

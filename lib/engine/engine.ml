@@ -184,10 +184,10 @@ let solve_approx t ~inner_pool tel (req : Request.t) ~deadline_at ~fallback =
 (* fresh solve: per-SCC fan-out, portfolio, deadline                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors Solver.solve exactly (same component order, same
-   tie-breaking) so that engine results are indistinguishable from a
-   fresh [Solver.solve ~algorithm] — a property the test suite checks —
-   while fanning independent SCC subproblems across the executor.
+(* The per-component loop is Solver.solve_partition, so engine results
+   are indistinguishable from a fresh [Solver.solve ~algorithm] — a
+   property the test suite checks.  The partition is computed once and
+   reused by every portfolio attempt.
 
    [inner_pool] is the arbitration verdict from the caller: [Some p]
    lets this request parallelize internally (component fan-out, and
@@ -217,161 +217,91 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
       | Solver.Minimize -> lambda
       | Solver.Maximize -> Ratio.neg lambda
     in
-    let scc = Scc.compute g_min in
-    (* the one-pass partition replaces per-component Digraph.induced
-       scans; computed once here, the subgraphs are reused by every
-       portfolio attempt instead of being rebuilt per fallback *)
-    let subs = Array.to_list (Scc.partition g_min scc) in
-    if subs = [] then Acyclic
-    else begin
-      let runner_of alg =
-        match spec.Request.problem with
-        | Solver.Cycle_mean -> Registry.minimum_cycle_mean alg
-        | Solver.Cycle_ratio -> Registry.minimum_cycle_ratio alg
-      in
-      let attempts =
-        match spec.Request.algorithm with
-        | Request.Fixed a -> [ (Registry.name a, None, runner_of a) ]
-        | Request.Exact ->
-          (* direct dispatch (not through Registry.exact_lane) so the
-             linker keeps Stern_brocot — and its lane registration —
-             in every binary that links the engine *)
-          let run =
-            match spec.Request.problem with
-            | Solver.Cycle_mean -> Stern_brocot.minimum_cycle_mean
-            | Solver.Cycle_ratio -> Stern_brocot.minimum_cycle_ratio
-          in
-          [ ("exact", None, run) ]
-        | Request.Auto | Request.Approx ->
-          List.map
-            (fun (a, b) -> (Registry.name a, b, runner_of a))
-            (auto_portfolio g_min)
-      in
-      (* each component task gets its own Stats.t and Budget.t — no
-         mutable state crosses a domain boundary.  The pool is also
-         handed into the solve so Howard can chunk its improvement
-         sweep inside one giant component; the budget stays safe there
-         because Howard ticks it on the coordinating domain only, never
-         from a chunk task *)
-      let solve_component (run : Registry.exact_solver) iter_budget ?pool
-          (sp : Scc.subproblem) =
-        let sub_stats = Stats.create () in
-        let budget =
-          match (iter_budget, deadline_at) with
-          | None, None -> None
-          | _ ->
-            Some
-              (Budget.create ?max_iterations:iter_budget ~now:t.now
-                 ?deadline_at ())
+    let subs = Scc.partition g_min (Scc.compute g_min) in
+    let runner_of alg =
+      match spec.Request.problem with
+      | Solver.Cycle_mean -> Registry.minimum_cycle_mean alg
+      | Solver.Cycle_ratio -> Registry.minimum_cycle_ratio alg
+    in
+    let attempts =
+      match spec.Request.algorithm with
+      | Request.Fixed a -> [ (Registry.name a, None, runner_of a) ]
+      | Request.Exact ->
+        (* direct dispatch (not through Registry.exact_lane) so the
+           linker keeps Stern_brocot — and its lane registration —
+           in every binary that links the engine *)
+        let run =
+          match spec.Request.problem with
+          | Solver.Cycle_mean -> Stern_brocot.minimum_cycle_mean
+          | Solver.Cycle_ratio -> Stern_brocot.minimum_cycle_ratio
         in
-        let lambda, cycle = run ~stats:sub_stats ?budget ?pool sp.Scc.sub in
-        (lambda, List.map (fun a -> sp.Scc.arc_of_sub.(a)) cycle, sub_stats)
-      in
-      let attempt (_name, iter_budget, run) =
-        let results =
-          match inner_pool with
-          | Some p when List.length subs > 1 && Executor.jobs p > 1 ->
-            (* same two-level arbitration as Solver.solve: a component
-               only nests the chunked sweep if the fan-out leaves
-               workers idle or it holds at least half the cyclic arcs *)
-            let total_arcs =
-              List.fold_left (fun acc sp -> acc + Digraph.m sp.Scc.sub) 0 subs
-            in
-            let saturated = List.length subs >= Executor.jobs p in
-            subs
-            |> List.map (fun sp ->
-                   let pool =
-                     if
-                       (not saturated)
-                       || 2 * Digraph.m sp.Scc.sub >= total_arcs
-                     then Some p
-                     else None
-                   in
-                   Executor.async p (fun () ->
-                       solve_component run iter_budget ?pool sp))
-            |> List.map (fun fut ->
-                   try Ok (Executor.await p fut)
-                   with Budget.Exceeded c -> Error c)
-          | _ ->
-            List.map
-              (fun sp ->
-                try Ok (solve_component run iter_budget ?pool:inner_pool sp)
-                with Budget.Exceeded c -> Error c)
-              subs
+        [ ("exact", None, run) ]
+      | Request.Auto | Request.Approx ->
+        List.map
+          (fun (a, b) -> (Registry.name a, b, runner_of a))
+          (auto_portfolio g_min)
+    in
+    (* every component gets its own Budget.t, so an iteration budget
+       bounds each component, not the attempt; Howard ticks it on the
+       coordinating domain only, never from a sweep-chunk task *)
+    let budget iter_budget () =
+      match (iter_budget, deadline_at) with
+      | None, None -> None
+      | _ ->
+        Some
+          (Budget.create ?max_iterations:iter_budget ~now:t.now ?deadline_at ())
+    in
+    let rec go attempted fallbacks = function
+      | [] ->
+        (* unreachable with the shipped portfolios (the terminal
+           entry is unbudgeted) but a sound answer if one is built *)
+        Timeout { partial = None; attempted = List.rev attempted }
+      | (name, iter_budget, run) :: rest -> (
+        let t0 = t.now () in
+        let report, cause =
+          Solver.solve_partition ?pool:inner_pool ~budget:(budget iter_budget)
+            run subs
         in
-        (* join: fold in component order with Solver.solve's exact
-           tie-breaking; merge the per-domain counters *)
-        let best = ref None in
-        let stats = ref (Stats.create ()) in
-        let ncomp = ref 0 in
-        let err = ref None in
-        List.iter
-          (function
-            | Ok (lambda, cycle, s) ->
-              incr ncomp;
-              stats := Stats.merge !stats s;
-              (match !best with
-              | Some (bl, _) when Ratio.leq bl lambda -> ()
-              | _ -> best := Some (lambda, cycle))
-            | Error c -> (
-              match (!err, c) with
-              | Some Budget.Deadline, _ -> ()
-              | _, Budget.Deadline -> err := Some Budget.Deadline
-              | None, c -> err := Some c
-              | Some _, _ -> ()))
-          results;
-        Telemetry.record_ops tel !stats;
-        match !err with
-        | None -> `Ok (Option.get !best, !ncomp)
-        | Some Budget.Deadline -> `Deadline (Option.map fst !best)
-        | Some Budget.Iterations -> `Blowout
-      in
-      let rec go attempted fallbacks = function
-        | [] ->
-          (* unreachable with the shipped portfolios (the terminal
-             entry is unbudgeted) but a sound answer if one is built *)
-          Timeout { partial = None; attempted = List.rev attempted }
-        | ((name, _, _) as step) :: rest -> (
-          let t0 = t.now () in
-          let verdict = attempt step in
-          let wall_ms = (t.now () -. t0) *. 1000.0 in
-          match verdict with
-          | `Ok ((lambda, cycle), ncomp) ->
-            Telemetry.record_run tel name ~wall_ms;
-            Solved
+        let wall_ms = (t.now () -. t0) *. 1000.0 in
+        Option.iter (fun r -> Telemetry.record_ops tel r.Solver.stats) report;
+        match (cause, report) with
+        | None, None -> Acyclic
+        | None, Some r ->
+          Telemetry.record_run tel name ~wall_ms;
+          Solved
+            {
+              lambda = restore r.Solver.lambda;
+              cycle = r.Solver.cycle;
+              components = r.Solver.components;
+              algorithm = name;
+              cached = false;
+              fallbacks;
+              certified = false;
+              exact = None;
+            }
+        | Some Budget.Iterations, _ ->
+          Telemetry.record_blowout tel name ~wall_ms;
+          go (name :: attempted) (fallbacks + 1) rest
+        | Some Budget.Deadline, partial -> (
+          match spec.Request.approx_eps with
+          | Some _ ->
+            (* the request opted in (approx-eps on an Auto request):
+               the exact lanes missed the deadline, so serve a
+               certified ε-interval instead of a timeout.  The
+               fallback runs undeadlined — the lane is near-linear
+               and bounded, and a second deadline here could only
+               turn a sound answer back into a timeout *)
+            solve_approx t ~inner_pool tel req ~deadline_at:None
+              ~fallback:true
+          | None ->
+            Timeout
               {
-                lambda = restore lambda;
-                cycle;
-                components = ncomp;
-                algorithm = name;
-                cached = false;
-                fallbacks;
-                certified = false;
-                exact = None;
-              }
-          | `Blowout ->
-            Telemetry.record_blowout tel name ~wall_ms;
-            go (name :: attempted) (fallbacks + 1) rest
-          | `Deadline partial -> (
-            match spec.Request.approx_eps with
-            | Some _ ->
-              (* the request opted in (approx-eps on an Auto request):
-                 the exact lanes missed the deadline, so serve a
-                 certified ε-interval instead of a timeout.  The
-                 fallback runs undeadlined — the lane is near-linear
-                 and bounded, and a second deadline here could only
-                 turn a sound answer back into a timeout *)
-              solve_approx t ~inner_pool tel req ~deadline_at:None
-                ~fallback:true
-            | None ->
-              Timeout
-                {
-                  partial = Option.map restore partial;
-                  attempted = List.rev (name :: attempted);
-                }))
-      in
-      go [] 0 attempts
-    end
+                partial =
+                  Option.map (fun r -> restore r.Solver.lambda) partial;
+                attempted = List.rev (name :: attempted);
+              }))
+    in
+    go [] 0 attempts
 
 (* ------------------------------------------------------------------ *)
 (* cache layer                                                         *)
@@ -415,14 +345,12 @@ let finish_exact (req : Request.t) outcome =
     | Error e -> Rejected e)
   | o -> o
 
-let verify_fresh tel req outcome =
+let verify_fresh req outcome =
   match outcome with
   | Solved s when req.Request.spec.Request.verify -> (
     match certify req s.lambda s.cycle with
     | Ok () -> Solved { s with certified = true }
-    | Error e ->
-      ignore tel;
-      Rejected ("certificate FAILED: " ^ e))
+    | Error e -> Rejected ("certificate FAILED: " ^ e))
   | Approximate a when req.Request.spec.Request.verify -> (
     match
       recheck_approx req
@@ -443,7 +371,7 @@ let solve_task t ~inner_pool req () =
   let tel = Telemetry.create () in
   let t0 = t.now () in
   let outcome =
-    verify_fresh tel req (finish_exact req (solve_fresh t ~inner_pool tel req))
+    verify_fresh req (finish_exact req (solve_fresh t ~inner_pool tel req))
   in
   tel.Telemetry.wall_ms <- (t.now () -. t0) *. 1000.0;
   (outcome, tel)

@@ -4,8 +4,9 @@
 
     {b Determinism.}  Engine results are indistinguishable from a fresh
     [Solver.solve] on the same request: the engine reuses
-    [Solver.preflight], the same SCC enumeration order, and the same
-    first-best tie-breaking.  Batches are deduplicated by cache key at
+    [Solver.preflight] and runs each portfolio attempt through
+    [Solver.solve_partition], the very per-component loop of
+    [Solver.solve].  Batches are deduplicated by cache key at
     submission and collected in request order, so response lines and
     cache hit/miss counters are byte-identical across [--jobs]
     settings (only wall times vary, and {!response_line} omits them by

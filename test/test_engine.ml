@@ -184,13 +184,12 @@ let spec_of ~problem ~objective ~algorithm ~verify =
    lambda, witness cycle, component count — and (2) a cached duplicate
    carrying the very same answer, certified against the request's
    graph. *)
-let qcheck_engine_matches_solver jobs =
+let qcheck_engine_matches_solver
+    ?(name = Printf.sprintf "engine --jobs %d = Solver.solve (incl. cache hits)")
+    ?(graphs = Helpers.arb_any_graph ~max_n:8 ~max_m:16 ~tmax:3 ()) jobs =
   QCheck.Test.make ~count:60
-    ~name:(Printf.sprintf "engine --jobs %d = Solver.solve (incl. cache hits)" jobs)
-    QCheck.(
-      pair
-        (Helpers.arb_any_graph ~max_n:8 ~max_m:16 ~tmax:3 ())
-        (pair bool bool))
+    ~name:(name jobs)
+    QCheck.(pair graphs (pair bool bool))
     (fun (g, (maximize, ratio)) ->
       let objective = if maximize then Solver.Maximize else Solver.Minimize in
       let problem = if ratio then Solver.Cycle_ratio else Solver.Cycle_mean in
@@ -305,3 +304,14 @@ let suite =
         qcheck_engine_matches_solver 4;
         qcheck_jobs_byte_identical;
       ]
+  (* every generator family, many-SCC and giant-SCC included, so the
+     engine's component fan-out faces Solver.solve at each job count
+     (8 under OCR_TEST_JOBS=8) *)
+  @ Helpers.qtests
+      (List.map
+         (qcheck_engine_matches_solver
+            ~name:
+              (Printf.sprintf
+                 "engine --jobs %d = Solver.solve on every family")
+            ~graphs:(Helpers.arb_family ()))
+         (List.sort_uniq compare [ 1; 4; Helpers.default_jobs ]))

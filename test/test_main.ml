@@ -14,6 +14,7 @@ let () =
       ("ratio", Test_ratio.suite);
       ("critical", Test_critical.suite);
       ("executor", Test_executor.suite);
+      ("fanout", Test_fanout.suite);
       ("karp-core", Test_karp_core.suite);
       ("algorithms", Test_algorithms.suite);
       ("solver", Test_solver.suite);
