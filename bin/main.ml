@@ -387,7 +387,11 @@ let cache_size_arg =
   Arg.(
     value & opt int 256
     & info [ "cache-size" ] ~docv:"K"
-        ~doc:"LRU result-cache capacity in entries; 0 disables caching.")
+        ~doc:
+          "LRU result-cache capacity in entries; 0 disables caching.  On \
+           $(b,serve) and $(b,cluster) the same capacity also bounds the \
+           remembered file fingerprints that let a cache hit skip reading \
+           its file.")
 
 let wall_arg =
   Arg.(
@@ -458,7 +462,7 @@ let batch_cmd =
                exit 1
              | Ok spec -> (
                match load_graph spec.Request.path with
-               | exception Sys_error e ->
+               | exception (Sys_error e | Failure e) ->
                  Printf.eprintf "request %d: %s\n" (i + 1) e;
                  exit 1
                | g -> Request.make ~id:(i + 1) ~graph:g spec))

@@ -106,8 +106,7 @@ type t = {
   map : Shard_map.t;
   ws : worker array;
   sessions : (string, session) Hashtbl.t;
-  fp_cache : (string, float * int * int) Hashtbl.t;
-      (* path -> (mtime, size, fingerprint hash) *)
+  files : File_table.t;  (* path -> graph fingerprint, for shard keys *)
   client_oc : out_channel;
   mutable next_req : int;
   mutable requests : int;
@@ -279,23 +278,14 @@ let sync_worker w =
   try send_to_worker w Sync (Printf.sprintf "sync %d" (Obs.now_ns ()))
   with Worker_down _ -> () (* EOF detection will reap it *)
 
-(* fingerprint-hash routing for one-shot solves: cached per path and
-   validated against (mtime, size); unreadable paths hash the path
-   string instead and the worker produces the proper error line *)
+(* fingerprint-hash routing for one-shot solves, through the same
+   stat-checked table the engine answers cheap hits from; unreadable
+   paths hash the path string instead and the worker produces the
+   proper error line *)
 let solve_key t path =
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> Shard_map.hash_string path
-  | st -> (
-    let mt = st.Unix.st_mtime and sz = st.Unix.st_size in
-    match Hashtbl.find_opt t.fp_cache path with
-    | Some (mt', sz', h) when mt' = mt && sz' = sz -> h
-    | _ -> (
-      match Graph_io.load path with
-      | exception _ -> Shard_map.hash_string path
-      | g ->
-        let h = Fingerprint.hash (Fingerprint.of_graph g) in
-        Hashtbl.replace t.fp_cache path (mt, sz, h);
-        h))
+  match File_table.fingerprint t.files path with
+  | Some fp -> Fingerprint.hash fp
+  | None -> Shard_map.hash_string path
 
 (* ------------------------------------------------------------------ *)
 (* aggregated observability *)
@@ -931,7 +921,7 @@ let run cfg client_fd client_oc =
               last_ping = 0.;
             });
       sessions = Hashtbl.create 16;
-      fp_cache = Hashtbl.create 16;
+      files = File_table.create ~capacity:cfg.cache_size;
       client_oc;
       next_req = 0;
       requests = 0;

@@ -8,7 +8,8 @@
 
     - {b one-shot solve requests} ([<graph-file> key=value ...] lines)
       are routed by the SplitMix64 structural fingerprint of their
-      graph (cached per path, stat-validated) through the rendezvous
+      graph (remembered per path in a {!File_table}, checked by one
+      [stat] per request) through the rendezvous
       {!Shard_map}, so identical graphs land on the worker whose LRU
       already holds them, and worker loss reshuffles only the dead
       worker's keys;

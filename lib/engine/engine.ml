@@ -59,10 +59,12 @@ type response = {
 let sp_request = Obs.intern "engine.request"
 let sp_cache_hit = Obs.intern "engine.cache_hit"
 let sp_cache_miss = Obs.intern "engine.cache_miss"
+let sp_load = Obs.intern "engine.load"
 
 type t = {
   exec : Executor.t;
   cache : (Request.key, cache_entry) Lru.t;
+  files : File_table.t; (* path -> fingerprint, for {!solve_path} *)
   telemetry : Telemetry.t; (* engine lifetime; coordinator-only access *)
   latency : Metrics.histogram; (* per-request wall ms; coordinator-only *)
   lat_reg : Metrics.t; (* owns [latency], merged into snapshots *)
@@ -74,6 +76,7 @@ let create ?(jobs = 1) ?(cache_size = 256) ?(now = Unix.gettimeofday) () =
   {
     exec = Executor.create ~jobs;
     cache = Lru.create ~capacity:cache_size;
+    files = File_table.create ~capacity:cache_size;
     telemetry = Telemetry.create ();
     latency = Metrics.histogram lat_reg "ocr_solve_latency_ms";
     lat_reg;
@@ -82,7 +85,9 @@ let create ?(jobs = 1) ?(cache_size = 256) ?(now = Unix.gettimeofday) () =
 
 let jobs t = Executor.jobs t.exec
 let pool t = t.exec
-let resize_cache t capacity = Lru.resize t.cache capacity
+let resize_cache t capacity =
+  Lru.resize t.cache capacity;
+  File_table.resize t.files capacity
 
 let telemetry t = t.telemetry
 
@@ -431,66 +436,60 @@ let entry_of_outcome = function
          })
   | _ -> None
 
+(* A cache entry as a cached outcome; [checked]: it was re-certified
+   against the request's graph. *)
+let cached_outcome ~checked = function
+  | E_exact e ->
+    Solved
+      {
+        lambda = e.e_lambda;
+        cycle = e.e_cycle;
+        components = e.e_components;
+        algorithm = e.e_algorithm;
+        cached = true;
+        fallbacks = 0;
+        certified = checked;
+        exact = e.e_cert;
+      }
+  | E_approx a ->
+    Approximate
+      {
+        lo = a.a_lo;
+        hi = a.a_hi;
+        cycle = a.a_cycle;
+        eps = a.a_eps;
+        scale = a.a_scale;
+        components = a.a_components;
+        tests = a.a_tests;
+        rounds = a.a_rounds;
+        certified = a.a_converged;
+        cached = true;
+        fallback = false;
+        verified = checked;
+      }
+
 (* Serve a request from a cache entry.  With [verify] the entry is
    re-certified against the request's actual graph — which doubles as
    a fingerprint-collision guard: a failing certificate falls through
    to a fresh solve and is counted as a collision, never served. *)
 let from_cache tel (req : Request.t) entry =
-  let verify = req.Request.spec.Request.verify in
-  match entry with
-  | E_exact e ->
-    let serve certified =
-      Some
-        (Solved
-           {
-             lambda = e.e_lambda;
-             cycle = e.e_cycle;
-             components = e.e_components;
-             algorithm = e.e_algorithm;
-             cached = true;
-             fallbacks = 0;
-             certified;
-             exact = e.e_cert;
-           })
-    in
-    if verify then
-      match certify req e.e_lambda e.e_cycle with
-      | Ok () -> serve true
-      | Error _ ->
-        tel.Telemetry.collisions <- tel.Telemetry.collisions + 1;
-        None
-    else serve false
-  | E_approx a ->
-    let serve verified =
-      Some
-        (Approximate
-           {
-             lo = a.a_lo;
-             hi = a.a_hi;
-             cycle = a.a_cycle;
-             eps = a.a_eps;
-             scale = a.a_scale;
-             components = a.a_components;
-             tests = a.a_tests;
-             rounds = a.a_rounds;
-             certified = a.a_converged;
-             cached = true;
-             fallback = false;
-             verified;
-           })
-    in
-    if verify then
-      match
+  if not req.Request.spec.Request.verify then
+    Some (cached_outcome ~checked:false entry)
+  else
+    let check =
+      match entry with
+      | E_exact e -> certify req e.e_lambda e.e_cycle
+      | E_approx a ->
         recheck_approx req
           (cert_of_approximate ~lo:a.a_lo ~hi:a.a_hi ~cycle:a.a_cycle
              ~eps:a.a_eps ~scale:a.a_scale ~components:a.a_components
              ~tests:a.a_tests ~rounds:a.a_rounds ~certified:a.a_converged)
-      with
-      | Ok () -> serve true
-      | Error _ ->
-        tel.Telemetry.collisions <- tel.Telemetry.collisions + 1;
-        None
-    else serve false
+    in
+    match check with
+    | Ok () -> Some (cached_outcome ~checked:true entry)
+    | Error _ ->
+      tel.Telemetry.collisions <- tel.Telemetry.collisions + 1;
+      None
 
 let cache_insert t key outcome =
   match entry_of_outcome outcome with
@@ -501,39 +500,79 @@ let cache_insert t key outcome =
 (* single-request front door (the serve path)                          *)
 (* ------------------------------------------------------------------ *)
 
-let solve t (req : Request.t) =
-  (* tagged with the propagated cluster trace id (0 = standalone, which
-     records exactly the untagged span of old) *)
-  if !Obs.enabled_flag then
-    Trace.begin_span_id sp_request req.Request.spec.Request.trace;
+(* The bookkeeping of every single request, however it is answered:
+   the engine.request span under the propagated cluster trace id (0 =
+   standalone, which records exactly the untagged span of old), the
+   deterministic counters and the latency histogram.  [answer] returns
+   the outcome plus whatever its caller needs back. *)
+let respond t ~id (spec : Request.spec) answer =
+  if !Obs.enabled_flag then Trace.begin_span_id sp_request spec.Request.trace;
   let t0 = t.now () in
   let tel = Telemetry.create () in
   tel.Telemetry.requests <- 1;
-  let key = Request.key req in
-  let outcome =
-    match Option.bind (Lru.find t.cache key) (from_cache tel req) with
-    | Some o -> o
-    | None ->
-      (* a lone request is the only client: intra-request parallelism
-         gets the whole pool *)
-      let outcome, delta = solve_task t ~inner_pool:(Some t.exec) req () in
-      Telemetry.add tel delta;
-      cache_insert t key outcome;
-      outcome
-  in
+  let outcome, extra = answer tel in
   count_outcome tel outcome;
   tel.Telemetry.wall_ms <- (t.now () -. t0) *. 1000.0;
   Telemetry.add t.telemetry tel;
   let wall_ms = (t.now () -. t0) *. 1000.0 in
   Metrics.observe t.latency wall_ms;
-  if !Obs.enabled_flag then
-    Trace.end_span_id sp_request req.Request.spec.Request.trace;
-  {
-    id = req.Request.id;
-    path = req.Request.spec.Request.path;
-    outcome;
-    wall_ms;
-  }
+  if !Obs.enabled_flag then Trace.end_span_id sp_request spec.Request.trace;
+  ({ id; path = spec.Request.path; outcome; wall_ms }, extra)
+
+(* {!solve}, also returning the request's cache key *)
+let solve_keyed t (req : Request.t) =
+  respond t ~id:req.Request.id req.Request.spec (fun tel ->
+      let key = Request.key req in
+      match Option.bind (Lru.find t.cache key) (from_cache tel req) with
+      | Some o -> (o, key)
+      | None ->
+        (* a lone request is the only client: intra-request parallelism
+           gets the whole pool *)
+        let outcome, delta = solve_task t ~inner_pool:(Some t.exec) req () in
+        Telemetry.add tel delta;
+        cache_insert t key outcome;
+        (outcome, key))
+
+let solve t req = fst (solve_keyed t req)
+
+(* A request naming a file.  While the file's stat still matches the
+   identity its fingerprint was recorded under, a verify=false request
+   whose key is in the LRU is answered without opening the file.
+   Everything else — misses, verify=true, a changed identity, a failed
+   stat — reads the file and goes through {!solve_keyed}, so each of
+   those answers comes from the bytes on disk, and a failed stat leaves
+   the error message to the load. *)
+let solve_path t ~id (spec : Request.spec) =
+  let path = spec.Request.path in
+  let st = File_table.stat path in
+  let cached =
+    match st with
+    | Some st when not spec.Request.verify ->
+      Option.bind (File_table.find t.files path st) (fun fp ->
+          Lru.find t.cache (Request.key_of fp spec))
+    | _ -> None
+  in
+  match cached with
+  | Some entry ->
+    let resp, () =
+      respond t ~id spec (fun _ -> (cached_outcome ~checked:false entry, ()))
+    in
+    Ok resp
+  | None -> (
+    let trace = spec.Request.trace in
+    if !Obs.enabled_flag then Trace.begin_span_id sp_load trace;
+    let loaded =
+      match Graph_io.load path with
+      | g -> Ok g
+      | exception (Sys_error e | Failure e) -> Error e
+    in
+    if !Obs.enabled_flag then Trace.end_span_id sp_load trace;
+    match loaded with
+    | Error e -> Error e
+    | Ok graph ->
+      let resp, key = solve_keyed t (Request.make ~id ~graph spec) in
+      Option.iter (fun st -> File_table.record t.files path st key.Request.fp) st;
+      Ok resp)
 
 (* ------------------------------------------------------------------ *)
 (* batch front door                                                    *)

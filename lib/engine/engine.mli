@@ -125,6 +125,16 @@ val solve : t -> Request.t -> response
     else solve fresh, fanning nontrivial SCCs across the pool, and
     insert the result. *)
 
+val solve_path : t -> id:int -> Request.spec -> (response, string) result
+(** Serve one request naming a graph file — the [ocr serve] and
+    cluster-worker path.  The engine remembers, per path, the
+    fingerprint of the bytes it last parsed under the file's [stat]
+    identity ({!File_table}, bounded by [cache_size]).  When the
+    identity still matches, [verify] is off and the LRU holds the key,
+    the answer costs one [stat]: the file is not opened.  Otherwise the
+    file is read ([engine.load] span) and the request goes through
+    {!solve}.  [Error msg] is a file that cannot be read or parsed. *)
+
 val run_batch : t -> Request.t list -> response list
 (** Solve a batch: requests are deduplicated by cache key, unique
     misses run in parallel across the pool, and responses come back in

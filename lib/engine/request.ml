@@ -51,15 +51,17 @@ type key = {
   keps : float option;
 }
 
-let key r =
+let key_of fp spec =
   {
-    fp = Fingerprint.of_graph r.graph;
-    kproblem = r.spec.problem;
-    kobjective = r.spec.objective;
-    kalgorithm = r.spec.algorithm;
-    kmode = r.spec.mode;
-    keps = r.spec.approx_eps;
+    fp;
+    kproblem = spec.problem;
+    kobjective = spec.objective;
+    kalgorithm = spec.algorithm;
+    kmode = spec.mode;
+    keps = spec.approx_eps;
   }
+
+let key r = key_of (Fingerprint.of_graph r.graph) r.spec
 
 let problem_name = function
   | Solver.Cycle_mean -> "mean"

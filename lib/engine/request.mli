@@ -91,5 +91,9 @@ type key = {
 
 val key : t -> key
 
+val key_of : Fingerprint.t -> spec -> key
+(** The key of a request with this spec on any graph with this
+    fingerprint: [key r = key_of (Fingerprint.of_graph r.graph) r.spec]. *)
+
 val problem_name : Solver.problem -> string
 val objective_name : Solver.objective -> string

@@ -18,10 +18,10 @@ let print_telemetry eng oc =
 (* ------------------------------------------------------------------ *)
 
 let solve_line ?wall eng ~id spec =
-  match Graph_io.load spec.Request.path with
-  | exception (Sys_error e | Failure e) ->
+  match Engine.solve_path eng ~id spec with
+  | Error e ->
     Printf.sprintf "req=%d file=%s status=error msg=%S" id spec.Request.path e
-  | g -> Engine.response_line ?wall (Engine.solve eng (Request.make ~id ~graph:g spec))
+  | Ok r -> Engine.response_line ?wall r
 
 let handle_request ?wall eng ~id line =
   match Request.parse_spec line with

@@ -24,6 +24,7 @@ let () =
       ("approx", Test_approx.suite);
       ("exact", Test_exact.suite);
       ("engine", Test_engine.suite);
+      ("file-table", Test_file_table.suite);
       ("dyn", Test_dyn.suite);
       ("cluster", Test_cluster.suite);
       ("applications", Test_apps.suite);
