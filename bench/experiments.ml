@@ -1732,8 +1732,131 @@ let e19 _cfg =
       close_out oc;
       Printf.printf "wrote %s\n" path
 
+(* ------------------------------------------------------------------ *)
+(* E20: the layers around the kernel — Graph_io.load on both formats, *)
+(* Scc.compute and Scc.partition — against the implementations they   *)
+(* replaced (the line-splitting parsers, the Vec-based Tarjan and the  *)
+(* copying partition), on SPRAND (one SCC: the shared-graph partition) *)
+(* and many_scc (the copying path).  identical = the loaded graph      *)
+(* round-trips to the file's bytes and equals the reference parse, the *)
+(* component ids equal the reference Tarjan's, every subproblem equals *)
+(* Digraph.induced.  --bench-json FILE writes BENCH_pr17.json's shape. *)
+(* ------------------------------------------------------------------ *)
+
+let e20 _cfg =
+  let dir = Filename.temp_file "ocr_e20_" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let slurp path = In_channel.with_open_bin path In_channel.input_all in
+  let rows = ref [] in
+  let row ~workload ~family g ~ms ~reference_ms ~identical =
+    rows :=
+      (workload, family, Digraph.n g, Digraph.m g, ms, reference_ms, identical)
+      :: !rows
+  in
+  let measure (family, g) =
+    let n = Digraph.n g in
+    (* the two loaders: file bytes -> graph, reference on the same bytes *)
+    List.iter
+      (fun (workload, ext, render, reference) ->
+        let path = Filename.concat dir (Printf.sprintf "%s_%d.%s" family n ext) in
+        let text = render g in
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        let loaded = Graph_io.load path in
+        let identical =
+          render loaded = text
+          && Digraph.equal_structure loaded (reference (slurp path))
+        in
+        let ms = Timing.time_ms ~reps:5 (fun () -> ignore (Graph_io.load path)) in
+        let reference_ms =
+          Timing.time_ms ~reps:5 (fun () -> ignore (reference (slurp path)))
+        in
+        Sys.remove path;
+        row ~workload ~family g ~ms ~reference_ms ~identical)
+      [
+        ("load_ocr", "ocr", Graph_io.to_string, fun s -> Reference.of_string s);
+        ("load_gr", "gr", Graph_io.to_dimacs, fun s -> Reference.of_dimacs s);
+      ];
+    let scc = Scc.compute g in
+    let count, component = Reference.scc_components g in
+    row ~workload:"scc_compute" ~family g
+      ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Scc.compute g)))
+      ~reference_ms:
+        (Timing.time_ms ~reps:5 (fun () -> ignore (Reference.scc_components g)))
+      ~identical:(scc.Scc.count = count && scc.Scc.component = component);
+    (* the reference partition is the copying sweep, which the old code
+       ran for a single component too *)
+    let copy () =
+      Digraph.partition g ~count:scc.Scc.count ~component:scc.Scc.component
+        ~keep:(fun c -> not (Scc.is_trivial g scc c))
+    in
+    let subs = Scc.partition g scc in
+    let identical =
+      Array.length subs = Array.length (copy ())
+      && Array.for_all
+           (fun (sp : Scc.subproblem) ->
+             let members = List.sort compare scc.Scc.members.(sp.Scc.comp) in
+             let sub, node_of_sub, arc_of_sub = Digraph.induced g members in
+             Digraph.equal_structure sp.Scc.sub sub
+             && sp.Scc.node_of_sub = node_of_sub
+             && sp.Scc.arc_of_sub = arc_of_sub)
+           subs
+    in
+    row ~workload:"scc_partition" ~family g
+      ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Scc.partition g scc)))
+      ~reference_ms:(Timing.time_ms ~reps:5 (fun () -> ignore (copy ())))
+      ~identical
+  in
+  List.iter measure
+    [
+      ("sprand", Sprand.generate ~seed:1 ~n:4096 ~m:12288 ());
+      ("sprand", Sprand.generate ~seed:1 ~n:32768 ~m:524288 ());
+      ("many_scc", Families.many_scc ~components:64 ~size:96 ());
+    ];
+  (try Sys.rmdir dir with Sys_error _ -> ());
+  let rows = List.rev !rows in
+  Tables.print
+    ~title:
+      "E20: loader and SCC layers vs the implementations they replaced \
+       (reference = line-splitting parsers, Vec-based Tarjan, copying \
+       partition)"
+    ~header:
+      [ "workload"; "family"; "n"; "m"; "ms"; "reference ms"; "speedup";
+        "identical" ]
+    (List.map
+       (fun (workload, family, n, m, ms, reference_ms, identical) ->
+         [
+           workload; family; string_of_int n; string_of_int m;
+           Tables.fmt_ms ms; Tables.fmt_ms reference_ms;
+           Printf.sprintf "%.2fx" (reference_ms /. ms);
+           (if identical then "yes" else "NO");
+         ])
+       rows);
+  match !bench_json_path with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    let out fmt = Printf.fprintf oc fmt in
+    let cores = host_cores () in
+    out "{\n  \"experiment\": \"E20\",\n";
+    out "  \"host_cores\": %d,\n" cores;
+    out "  \"layers\": [\n";
+    List.iteri
+      (fun i (workload, family, n, m, ms, reference_ms, identical) ->
+        out
+          "    {\"workload\": %S, \"family\": %S, \"n\": %d, \"m\": %d, \
+           \"host_cores\": %d, \"ms\": %.4f, \"reference_ms\": %.4f, \
+           \"speedup\": %.2f, \"identical\": %b}%s\n"
+          workload family n m cores ms reference_ms (reference_ms /. ms)
+          identical
+          (if i < List.length rows - 1 then "," else ""))
+      rows;
+    out "  ]\n}\n";
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+
 let all : (string * (config -> unit)) list =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("E19", e19) ]
+    ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20) ]

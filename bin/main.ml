@@ -68,10 +68,19 @@ let check_jobs jobs =
     exit 1
   end
 
+(* an input the library rejects is a one-line diagnostic and exit 1,
+   never an uncaught exception *)
+let die msg =
+  prerr_endline ("ocr: " ^ msg);
+  exit 1
+
 (* .gr files use the DIMACS shortest-path format; anything else the
    native p/a format — the dispatch lives in Graph_io.load so every
    front-end (and the cluster workers) agrees on it *)
-let load_graph = Graph_io.load
+let load_graph path =
+  match Graph_io.load path with
+  | g -> g
+  | exception (Sys_error msg | Failure msg) -> die msg
 
 let emit output g =
   match output with
@@ -225,6 +234,7 @@ let solve_cmd =
     | Some eps -> (
       let stats = Stats.create () in
       match Approx.solve ~stats ?budget ~jobs ~problem ~objective ~eps g with
+      | exception Invalid_argument msg -> die msg
       | None ->
         finish_trace ();
         print_endline "acyclic graph: no cycle to optimize";
@@ -255,6 +265,7 @@ let solve_cmd =
         end)
     | None -> (
     match Solver.solve ~objective ~problem ?budget ~jobs ~algorithm g with
+    | exception Invalid_argument msg -> die msg
     | exception Solver.Deadline_exceeded { partial } ->
       finish_trace ();
       (match partial with
@@ -352,6 +363,7 @@ let critical_cmd =
     let g = load_graph file in
     let objective = Solver.Minimize in
     match Solver.solve ~objective ~problem ~algorithm:Registry.Howard g with
+    | exception Invalid_argument msg -> die msg
     | None ->
       print_endline "acyclic graph";
       exit 2
@@ -461,7 +473,7 @@ let batch_cmd =
                Printf.eprintf "request %d: %s\n" (i + 1) msg;
                exit 1
              | Ok spec -> (
-               match load_graph spec.Request.path with
+               match Graph_io.load spec.Request.path with
                | exception (Sys_error e | Failure e) ->
                  Printf.eprintf "request %d: %s\n" (i + 1) e;
                  exit 1
@@ -878,6 +890,7 @@ let compare_cmd =
       (fun algorithm ->
         let t0 = Unix.gettimeofday () in
         match Solver.solve ~objective ~problem ~algorithm g with
+        | exception Invalid_argument msg -> die msg
         | None ->
           print_endline "acyclic graph: no cycle to optimize";
           exit 2

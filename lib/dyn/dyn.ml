@@ -245,7 +245,12 @@ let bump t u =
   t.ep <- t.ep + 1
 
 (* Dirty the cyclic component containing live arc [a], updating the
-   materialized copies of its label in place.  O(1). *)
+   materialized copies of its label in place.  O(1).  When one
+   component covers every node, Scc.partition hands back [t.mat]
+   itself as that part's [p_sub] with identity maps, so
+   [sub_idx.(a) = mat_of_session.(a)] and the second pair of writes
+   lands on the same arrays, at the same index, with the same value:
+   redundant, never inconsistent. *)
 let touch_label t a ~dirties =
   if t.struct_valid then begin
     let ma = t.mat_of_session.(a) in

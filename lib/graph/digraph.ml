@@ -92,11 +92,11 @@ let mirror (labels : int_array1) : float_array1 =
   a
 
 (* Builds both CSR adjacency structures with counting sort. *)
-let csr n m key =
+let csr n m (key : int_array1) =
   let start = ia (n + 1) in
   Bigarray.Array1.fill start 0;
   for a = 0 to m - 1 do
-    let k = key a in
+    let k = key.{a} in
     start.{k + 1} <- start.{k + 1} + 1
   done;
   for v = 1 to n do
@@ -106,15 +106,15 @@ let csr n m key =
   Bigarray.Array1.blit start cursor;
   let arcs = ia m in
   for a = 0 to m - 1 do
-    let k = key a in
+    let k = key.{a} in
     arcs.{cursor.{k}} <- a;
     cursor.{k} <- cursor.{k} + 1
   done;
   (start, arcs)
 
 let of_label_arrays ~n ~m ~arc_src ~arc_dst ~arc_weight ~arc_transit =
-  let out_start, out_arcs = csr n m (fun a -> arc_src.{a}) in
-  let in_start, in_arcs = csr n m (fun a -> arc_dst.{a}) in
+  let out_start, out_arcs = csr n m arc_src in
+  let in_start, in_arcs = csr n m arc_dst in
   { n; m; arc_src; arc_dst; arc_weight; arc_transit;
     arc_weight_f = mirror arc_weight; arc_transit_f = mirror arc_transit;
     out_start; out_arcs; in_start; in_arcs }
@@ -243,6 +243,7 @@ module Unsafe = struct
   let dsts g = g.arc_dst
   let weights_float g = g.arc_weight_f
   let transits_float g = g.arc_transit_f
+  let of_label_arrays = of_label_arrays
 end
 
 let induced g nodes =

@@ -108,8 +108,12 @@ val map_transits : t -> (int -> int) -> t
     and transit labels can be rewritten.  Because {!map_weights} and
     {!reverse} {e share} label arrays with the original graph, mutating
     a graph also mutates every graph derived from it by those
-    functions.  Use only on graphs with a single owner — the dynamic
-    session subsystem ([Dyn]) is the intended client. *)
+    functions.  The same holds for [Scc.partition] when one component
+    covers every node: its single subproblem {e is} the input graph
+    (identity back-maps), so a label written through the subproblem is
+    written to the input, and vice versa.  Use only on graphs with a
+    single owner — the dynamic session subsystem ([Dyn]) is the
+    intended client. *)
 module Unsafe : sig
   val set_weight : t -> int -> int -> unit
   (** [set_weight g a w] rewrites the weight of arc [a].
@@ -150,6 +154,15 @@ module Unsafe : sig
 
   val transits_float : t -> float_array1
   (** The float64 mirror of the transit times; read-only. *)
+
+  val of_label_arrays :
+    n:int -> m:int -> arc_src:int_array1 -> arc_dst:int_array1 ->
+    arc_weight:int_array1 -> arc_transit:int_array1 -> t
+  (** Builds the CSR around four caller-filled label arrays, each of
+      length [m], and takes ownership of them (no copy).  Nothing is
+      checked: every endpoint must lie in [0 .. n-1] and every transit
+      time must be non-negative.  For loaders that validate while they
+      fill ([Graph_io]); everyone else uses a {!builder}. *)
 end
 
 val induced : t -> int list -> t * int array * int array

@@ -6,7 +6,26 @@
     a <src> <dst> <weight> [<transit>]
     v}
     Nodes are 1-indexed in files (DIMACS convention) and 0-indexed in
-    the API.  A missing transit field means transit 1. *)
+    the API.  A missing transit field means transit 1.
+
+    {b The arc count is checked.}  The problem line's [<m>] is the
+    number of arc lines that follow.  A negative [<m>], or one larger
+    than the input could hold (an arc line is at least 7 bytes), is a
+    [malformed problem line], rejected before anything is allocated.
+    An arc line past the declared count fails at that line; an input
+    that ends short fails with the declared and found counts.
+
+    {b One scanner reads both formats.}  {!of_string} and {!of_dimacs}
+    are the same byte-level scanner, parameterized by the problem-line
+    tag, the comment byte and whether a transit field is allowed.  It
+    sizes the four label arrays from the problem line, writes each arc
+    straight into them and hands them to the CSR build without a copy.
+    A well-formed arc line — [a] and then space-separated
+    [-?[0-9]{1,18}] fields — is parsed in one pass.  Any other line
+    takes the general path (trim, split on spaces, [int_of_string] per
+    token), so signs, radix prefixes, underscores, tabs, carriage
+    returns and overlong numbers are accepted or rejected exactly as
+    [int_of_string_opt] decides, with the same messages. *)
 
 val to_string : Digraph.t -> string
 val of_string : string -> Digraph.t
@@ -18,7 +37,10 @@ val read_file : string -> Digraph.t
 val load : string -> Digraph.t
 (** {!read_file}, except that a [.gr] suffix selects {!of_dimacs} —
     the one format-dispatch rule every front-end (solve, batch, serve,
-    stream, cluster workers) shares. *)
+    stream, cluster workers) shares.  Both read the file with the same
+    single read.
+    @raise Sys_error if the file cannot be read.
+    @raise Failure on malformed input. *)
 
 val to_dot : ?name:string -> ?highlight:int list -> Digraph.t -> string
 (** GraphViz export; [highlight] arcs are drawn bold red (used for
@@ -29,7 +51,7 @@ val to_dot : ?name:string -> ?highlight:int list -> Digraph.t -> string
     The 9th DIMACS challenge [.gr] format that the original SPRAND
     emits: a [p sp <n> <m>] problem line and [a <src> <dst> <weight>]
     arc lines (1-indexed, no transit times — they default to 1 here).
-    [c]-comment lines are skipped. *)
+    [c]-comment lines are skipped.  The arc-count rule above applies. *)
 
 val of_dimacs : string -> Digraph.t
 (** @raise Failure with a line-numbered message on malformed input. *)

@@ -4,71 +4,77 @@ type t = {
   members : int list array;
 }
 
-(* Iterative Tarjan.  For each node we keep the classic index/lowlink
-   pair; the explicit stack stores (node, next-out-arc-position) frames. *)
+(* Iterative Tarjan over the graph's own CSR.  Each DFS frame is a
+   node and an int cursor into [out_arcs]; frames, the Tarjan stack
+   and the per-node index/lowlink are flat int arrays, so the sweep
+   allocates nothing per node or arc.  Roots are tried in increasing
+   node order and successors in CSR order, which fixes the component
+   ids (see the .mli).  Accesses are unchecked: every index is a node
+   id, a stack or frame depth (each node is pushed once, so < n), or a
+   CSR position below [out_start.{u + 1}]. *)
 let compute g =
   let n = Digraph.n g in
+  let out_start, out_arcs = Digraph.Unsafe.out_csr g in
+  let dsts = Digraph.Unsafe.dsts g in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
+  let on_stack = Bytes.make n '\000' in
   let component = Array.make n (-1) in
-  let tarjan_stack = Vec.create () in
-  let next_index = ref 0 in
-  let comp_count = ref 0 in
-  (* Materialized successor arrays give O(1) cursor access per frame. *)
-  let out_adj = Array.make n [||] in
-  for u = 0 to n - 1 do
-    let acc = Vec.create () in
-    Digraph.iter_out g u (fun a -> Vec.push acc (Digraph.dst g a));
-    out_adj.(u) <- Vec.to_array acc
-  done;
-  let frames = Vec.create () in
-  let start root =
-    Vec.push frames (root, ref 0);
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let stack = Array.make n 0 and sp = ref 0 in
+  let frame_node = Array.make n 0 and frame_cursor = Array.make n 0 in
+  let fp = ref 0 in
+  let next_index = ref 0 and comp_count = ref 0 in
+  let visit v =
+    Array.unsafe_set index v !next_index;
+    Array.unsafe_set lowlink v !next_index;
     incr next_index;
-    Vec.push tarjan_stack root;
-    on_stack.(root) <- true;
-    while not (Vec.is_empty frames) do
-      let u, cursor = Vec.get frames (Vec.length frames - 1) in
-      let succs = out_adj.(u) in
-      if !cursor < Array.length succs then begin
-        let v = succs.(!cursor) in
-        incr cursor;
-        if index.(v) < 0 then begin
-          index.(v) <- !next_index;
-          lowlink.(v) <- !next_index;
-          incr next_index;
-          Vec.push tarjan_stack v;
-          on_stack.(v) <- true;
-          Vec.push frames (v, ref 0)
-        end
-        else if on_stack.(v) then
-          lowlink.(u) <- min lowlink.(u) index.(v)
-      end
-      else begin
-        ignore (Vec.pop frames);
-        if lowlink.(u) = index.(u) then begin
-          (* u is the root of a component: pop it off the Tarjan stack *)
-          let continue = ref true in
-          while !continue do
-            let w = Vec.pop tarjan_stack in
-            on_stack.(w) <- false;
-            component.(w) <- !comp_count;
-            if w = u then continue := false
-          done;
-          incr comp_count
-        end;
-        if not (Vec.is_empty frames) then begin
-          let p, _ = Vec.get frames (Vec.length frames - 1) in
-          lowlink.(p) <- min lowlink.(p) lowlink.(u)
-        end
-      end
-    done
+    Array.unsafe_set stack !sp v;
+    incr sp;
+    Bytes.unsafe_set on_stack v '\001';
+    Array.unsafe_set frame_node !fp v;
+    Array.unsafe_set frame_cursor !fp (Bigarray.Array1.unsafe_get out_start v);
+    incr fp
   in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then start v
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then begin
+      visit root;
+      while !fp > 0 do
+        let f = !fp - 1 in
+        let u = Array.unsafe_get frame_node f in
+        let c = Array.unsafe_get frame_cursor f in
+        if c < Bigarray.Array1.unsafe_get out_start (u + 1) then begin
+          Array.unsafe_set frame_cursor f (c + 1);
+          let v =
+            Bigarray.Array1.unsafe_get dsts (Bigarray.Array1.unsafe_get out_arcs c)
+          in
+          let iv = Array.unsafe_get index v in
+          if iv < 0 then visit v
+          else if
+            Bytes.unsafe_get on_stack v = '\001' && iv < Array.unsafe_get lowlink u
+          then Array.unsafe_set lowlink u iv
+        end
+        else begin
+          fp := f;
+          let lu = Array.unsafe_get lowlink u in
+          if lu = Array.unsafe_get index u then begin
+            (* u is the root of a component: pop it off the Tarjan stack *)
+            let continue = ref true in
+            while !continue do
+              decr sp;
+              let w = Array.unsafe_get stack !sp in
+              Bytes.unsafe_set on_stack w '\000';
+              Array.unsafe_set component w !comp_count;
+              if w = u then continue := false
+            done;
+            incr comp_count
+          end;
+          if f > 0 then begin
+            let p = Array.unsafe_get frame_node (f - 1) in
+            if lu < Array.unsafe_get lowlink p then Array.unsafe_set lowlink p lu
+          end
+        end
+      done
+    end
   done;
   let members = Array.make !comp_count [] in
   for v = n - 1 downto 0 do
@@ -95,7 +101,9 @@ type subproblem = {
   arc_of_sub : int array;
 }
 
-let partition ?(nontrivial_only = true) g t =
+(* the one-pass split for the general case: one fresh graph per kept
+   component *)
+let copy_partition ~nontrivial_only g t =
   let keep, kept_ids =
     if not nontrivial_only then
       ((fun _ -> true), Array.init t.count Fun.id)
@@ -124,6 +132,28 @@ let partition ?(nontrivial_only = true) g t =
     (fun i (sub, node_of_sub, arc_of_sub) ->
       { comp = kept_ids.(i); sub; node_of_sub; arc_of_sub })
     triples
+
+let identity len =
+  let a = Array.make len 0 in
+  for i = 1 to len - 1 do
+    a.(i) <- i
+  done;
+  a
+
+let partition ?(nontrivial_only = true) g t =
+  let n = Digraph.n g in
+  (* One component covering every node: its induced subgraph is [g]
+     itself (identity renumbering, every arc intra-component, arcs in
+     id order), so hand back [g] instead of copying it.  Kept when
+     cyclic: two or more nodes, or a lone node with a self-loop. *)
+  if
+    t.count = 1
+    && Array.length t.component = n
+    && ((not nontrivial_only) || n >= 2 || Digraph.arc_between g 0 0 <> None)
+  then
+    [| { comp = 0; sub = g; node_of_sub = identity n;
+         arc_of_sub = identity (Digraph.m g) } |]
+  else copy_partition ~nontrivial_only g t
 
 let condensation g t =
   let b = Digraph.create_builder t.count in

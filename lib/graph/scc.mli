@@ -1,4 +1,6 @@
-(** Strongly connected components (iterative Tarjan). *)
+(** Strongly connected components (iterative Tarjan over the graph's
+    own CSR: int-array stacks and one int cursor per DFS frame, no
+    per-node successor copy). *)
 
 type t = {
   count : int;             (** number of components *)
@@ -9,7 +11,10 @@ type t = {
 val compute : Digraph.t -> t
 (** Component ids are numbered in {e reverse topological} order of the
     condensation: every arc between distinct components goes from a
-    higher id to a lower id. *)
+    higher id to a lower id.  The numbering is deterministic: DFS roots
+    are tried in increasing node order and each node's successors in
+    out-arc (CSR) order, and a component's id is the order in which
+    its root finishes. *)
 
 val is_trivial : Digraph.t -> t -> int -> bool
 (** A component is trivial if it is a single node without a self-loop;
@@ -33,7 +38,15 @@ val partition : ?nontrivial_only:bool -> Digraph.t -> t -> subproblem array
     — the same renumbering and arc order the per-component solvers have
     always seen — without the O(m · count) repeated arc scans.  With
     [nontrivial_only] (the default) components without a cycle are
-    skipped, mirroring {!nontrivial_components}. *)
+    skipped, mirroring {!nontrivial_components}.
+
+    {b Sharing.}  When one kept component covers every node (any
+    strongly connected input, e.g. every SPRAND graph), the result is
+    a single entry whose [sub] {e is} the input graph — physically,
+    not a copy — with identity [node_of_sub]/[arc_of_sub].  It is
+    still exactly what {!Digraph.induced} would build, but label
+    writes through {!Digraph.Unsafe} on [sub] land on the input graph
+    too (see the aliasing note there). *)
 
 val condensation : Digraph.t -> t -> Digraph.t
 (** The component DAG: one node per component (same ids as

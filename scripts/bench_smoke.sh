@@ -13,7 +13,7 @@ set -eu
 run() { dune exec bench/main.exe -- "$@"; }
 gate() { dune exec bench/check_regress.exe -- "$@"; }
 
-for e in 1 11 12 13 14 15 16 17 18 19; do
+for e in 1 11 12 13 14 15 16 17 18 19 20; do
   run --only "E$e" --seeds 1 --bench-json "bench-e$e.json"
 done
 
@@ -28,7 +28,9 @@ gate --speedup bench-e14.json 4 1.2
 # exact_matches_float flags are the zero-tolerance exact-answer gate;
 # BENCH_pr10.json gates the E19 cluster-observability run (identical
 # and access_complete strict; its workers=2 timing skips when the
-# host core count differs from the recording box).
+# host core count differs from the recording box); BENCH_pr17.json
+# gates E20's loader and SCC rows (identical strict: round-trip,
+# component ids and subproblems equal the reference implementations).
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -37,6 +39,7 @@ gate \
   BENCH_pr6.json bench-e16.json \
   BENCH_pr8.json bench-e17.json \
   BENCH_pr9.json bench-e18.json \
-  BENCH_pr10.json bench-e19.json
+  BENCH_pr10.json bench-e19.json \
+  BENCH_pr17.json bench-e20.json
 
 echo "bench_smoke: OK"

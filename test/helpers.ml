@@ -154,3 +154,15 @@ let oracle_ratio objective g =
   Option.map
     (fun (a : Oracle.answer) -> Ratio.make a.Oracle.num a.Oracle.den)
     (Oracle.cycle_ratio objective g)
+
+(* ------------------------------------------------------------------ *)
+(* Test-only oracles                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The implementations the library's fast paths replaced live in
+   test/reference (a private library, so the E20 bench row can check
+   against them too): the line-splitting parsers, with the arc-count
+   rule layered on through their hooks, and the Vec-based Tarjan. *)
+let oracle_of_string = Reference.counted_of_string
+let oracle_of_dimacs = Reference.counted_of_dimacs
+let oracle_scc = Reference.scc_components

@@ -385,3 +385,47 @@ let suite =
     Alcotest.test_case "Dyn_serve: errors continue, fingerprint cache hits"
       `Quick serve_stream;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Single-SCC sessions: the part's subgraph is the materialized graph  *)
+(* ------------------------------------------------------------------ *)
+
+(* On a strongly connected graph Scc.partition returns the session's
+   materialized graph itself as the one part's subgraph, so every label
+   edit writes the same arrays twice (same index, same value).  Label
+   edits never change the structure, so the session stays one component
+   throughout and must keep answering exactly as a cold solve. *)
+let single_scc_label_edits ~problem ~objective ~seed () =
+  let tlo = match problem with Solver.Cycle_ratio -> 0 | _ -> 1 in
+  let g =
+    Sprand.generate ~seed ~n:24 ~m:72 ~weights:(-20, 20) ~transits:(1, 3) ()
+  in
+  let s = Dyn.create ~problem ~objective ~jobs:Helpers.default_jobs g in
+  Fun.protect ~finally:(fun () -> Dyn.close s) @@ fun () ->
+  let rng = Rng.create seed in
+  for step = 1 to 150 do
+    let a = Rng.int rng (Dyn.arc_count s) in
+    if Rng.bool rng then Dyn.set_weight s a (Rng.in_range rng (-30) 30)
+    else Dyn.set_transit s a (Rng.in_range rng tlo 4);
+    let want = cold_answer ~problem ~objective ~jobs:1 (Dyn.graph s) in
+    let got = session_answer s in
+    Alcotest.(check string)
+      (Printf.sprintf "step %d" step)
+      (show_answer want) (show_answer got)
+  done
+
+let qcheck_single_scc_sessions =
+  QCheck.Test.make
+    ~name:"dyn: single-SCC session label edits = cold solves" ~count:12
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 2))
+    (fun (seed, pick) ->
+      let problem, objective =
+        match pick with
+        | 0 -> (Solver.Cycle_mean, Solver.Minimize)
+        | 1 -> (Solver.Cycle_mean, Solver.Maximize)
+        | _ -> (Solver.Cycle_ratio, Solver.Minimize)
+      in
+      single_scc_label_edits ~problem ~objective ~seed ();
+      true)
+
+let suite = suite @ Helpers.qtests [ qcheck_single_scc_sessions ]

@@ -108,3 +108,146 @@ let suite =
       Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
       Alcotest.test_case "dimacs parsing" `Quick test_dimacs_parse;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The one scanner vs the line-splitting oracle                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Both loaders rendered to one comparable string: the graph, or the
+   exact Failure message. *)
+let outcome parse s =
+  match parse s with
+  | g -> "ok " ^ Graph_io.to_string g
+  | exception Failure msg -> "failure " ^ msg
+
+(* Fragments a mutation splices in: every byte the fast path must
+   decline (tab, CR, sign, underscore, radix prefix, comment bytes)
+   and numbers on both sides of its 18-digit limit. *)
+let fragments =
+  [| " "; "  "; "\n"; "\t"; "\r"; "+"; "-"; "_"; "x"; "#"; "c"; "a"; "p";
+     "0"; "1"; "3"; "9"; "1_000"; "0x1F"; "+5"; "-0";
+     "123456789012345678"; "-123456789012345678"; "1234567890123456789";
+     "9999999999999999999"; "-4611686018427387905"; "99999999999999999999";
+     "a 1 1 1\n"; "\n  a 1 2 3"; "a 2 1 -4 0\n"; "\np ocr 3 3\n";
+     "\np sp 3 3\n"; "# note\n"; "c note\n" |]
+
+let mutate rng text =
+  let s = ref text in
+  let pos () = Rng.int rng (String.length !s + 1) in
+  let splice i j frag =
+    s := String.sub !s 0 i ^ frag ^ String.sub !s j (String.length !s - j)
+  in
+  let with_line f =
+    let ls = Array.of_list (String.split_on_char '\n' !s) in
+    let i = Rng.int rng (Array.length ls) in
+    s := String.concat "\n" (Array.to_list (f ls i))
+  in
+  for _ = 1 to Rng.int rng 5 do
+    match Rng.int rng 6 with
+    | 0 | 1 ->
+      let i = pos () in
+      splice i i fragments.(Rng.int rng (Array.length fragments))
+    | 2 when String.length !s > 0 ->
+      let i = Rng.int rng (String.length !s) in
+      splice i (min (String.length !s) (i + 1 + Rng.int rng 3)) ""
+    | 3 when String.length !s > 0 ->
+      let i = Rng.int rng (String.length !s) in
+      splice i (i + 1) fragments.(Rng.int rng (Array.length fragments))
+    | 4 ->
+      (* duplicate a line: an arc past the declared count *)
+      with_line (fun ls i ->
+          Array.append (Array.sub ls 0 (i + 1))
+            (Array.sub ls i (Array.length ls - i)))
+    | _ ->
+      (* drop a line: a short file *)
+      with_line (fun ls i ->
+          Array.append (Array.sub ls 0 i)
+            (Array.sub ls (i + 1) (Array.length ls - i - 1)))
+  done;
+  if Rng.int rng 8 = 0 then
+    s := String.concat "\r\n" (String.split_on_char '\n' !s);
+  !s
+
+(* The node count has no upper bound yet (the loader allocates O(n)
+   for any declared n), so inputs whose mutations grew a problem
+   line's node count past 10^6 are skipped: both loaders would only
+   spend memory on them, identically. *)
+let declares_huge_n s =
+  String.split_on_char '\n' s
+  |> List.exists (fun line ->
+         match
+           String.split_on_char ' ' (String.trim line)
+           |> List.filter (fun t -> t <> "")
+         with
+         | [ "p"; _; sn; _ ] -> (
+           match int_of_string_opt sn with Some n -> n > 1_000_000 | None -> false)
+         | _ -> false)
+
+let gen_mutated render =
+  let open QCheck.Gen in
+  let* g = Helpers.gen_any_graph ~max_n:6 ~max_m:10 ~wlo:(-100_000) ~whi:100_000 ~tmax:4 () in
+  let+ seed = int_range 0 1_000_000 in
+  mutate (Rng.create seed) (render g)
+
+let qcheck_scanner_matches_oracle name render =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "io: scanner = line-splitting oracle on mutated %s" name)
+    ~count:1500
+    (QCheck.make ~print:String.escaped (gen_mutated render))
+    (fun s ->
+      QCheck.assume (not (declares_huge_n s));
+      (* each input goes through both formats' loaders *)
+      outcome Graph_io.of_string s = outcome Helpers.oracle_of_string s
+      && outcome Graph_io.of_dimacs s = outcome Helpers.oracle_of_dimacs s)
+
+(* With the declared count honoured, the oracle is the old parser
+   verbatim: no hook fires, so nothing but the count rule moved. *)
+let qcheck_count_rule_only_change =
+  QCheck.Test.make ~name:"io: honest counts parse as before" ~count:300
+    (Helpers.arb_any_graph ~max_n:10 ~max_m:25 ~tmax:5 ())
+    (fun g ->
+      let s = Graph_io.to_string g and d = Graph_io.to_dimacs g in
+      outcome Graph_io.of_string s = outcome Reference.of_string s
+      && outcome Graph_io.of_dimacs d = outcome Reference.of_dimacs d)
+
+let expect_message name parse input msg =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) name ("failure " ^ msg) (outcome parse input))
+
+let suite =
+  suite
+  @ [
+      expect_message "count: arc past the declared count" Graph_io.of_string
+        "p ocr 2 1\na 1 2 3\na 2 1 3\na 1 1 1\n"
+        "Graph_io: line 3: more arcs than the 1 declared";
+      expect_message "count: short file" Graph_io.of_dimacs
+        "c generated by hand\np sp 2 3\na 1 2 3\n"
+        "Graph_io: problem line declares 3 arcs, found 1";
+      expect_message "count: negative" Graph_io.of_string "p ocr 2 -1\n"
+        "Graph_io: line 1: malformed problem line";
+      expect_message "count: more than the input can hold" Graph_io.of_string
+        "p ocr 2 3\na 1 2 3\n" "Graph_io: line 1: malformed problem line";
+      expect_message "slow path: tab-separated arc" Graph_io.of_string
+        "p ocr 2 1\na\t1 2 3\n" "Graph_io: line 2: unknown record \"a\\t1\"";
+      expect_message "slow path: dimacs arc with a transit" Graph_io.of_dimacs
+        "p sp 2 1\na 1 2 3 4\n" "Graph_io: line 2: unknown record \"a\"";
+      expect_message "fast path: endpoint out of range" Graph_io.of_string
+        "p ocr 2 1\na 1 3 3\n"
+        "Graph_io: line 2: Digraph.add_arc: endpoint out of range";
+      Alcotest.test_case "slow path: int_of_string language" `Quick (fun () ->
+          let g =
+            Graph_io.of_string
+              "p ocr 2 3\r\na +1 0x2 1_000\r\n  a 2 1 -5 0\t\na 1 1 \
+               1234567890123456789 2\n"
+          in
+          Alcotest.(check (list int)) "weights" [ 1000; -5; 1234567890123456789 ]
+            (List.init 3 (Digraph.weight g));
+          Alcotest.(check (list int)) "transits" [ 1; 0; 2 ]
+            (List.init 3 (Digraph.transit g)));
+    ]
+  @ Helpers.qtests
+      [
+        qcheck_scanner_matches_oracle "native text" Graph_io.to_string;
+        qcheck_scanner_matches_oracle "DIMACS text" Graph_io.to_dimacs;
+        qcheck_count_rule_only_change;
+      ]

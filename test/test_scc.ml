@@ -183,3 +183,65 @@ let suite =
   suite
   @ Helpers.qtests
       [ qcheck_partition_matches_induced; qcheck_partition_covers_graph ]
+
+(* Tarjan over the CSR must number components exactly as the Vec-based
+   version it replaced: the same component array, not merely the same
+   partition, since partition order, Fanout.best tie-breaks and every
+   reply follow the ids. *)
+let same_ids_as_oracle g =
+  let scc = Scc.compute g in
+  let count, component = Helpers.oracle_scc g in
+  scc.Scc.count = count && scc.Scc.component = component
+
+let qcheck_ids_match_oracle =
+  QCheck.Test.make ~name:"scc: component ids = Vec-based Tarjan oracle"
+    ~count:300
+    (Helpers.arb_any_graph ~max_n:40 ~max_m:80 ())
+    same_ids_as_oracle
+
+let qcheck_ids_match_oracle_families =
+  QCheck.Test.make ~name:"scc: component ids = oracle on every family"
+    ~count:200 (Helpers.arb_family ()) same_ids_as_oracle
+
+let test_ids_match_oracle_deep () =
+  (* a long chain of 2-cycles: deep DFS, many components *)
+  let g = Families.many_scc ~seed:3 ~components:300 ~size:2 () in
+  Alcotest.(check bool) "many_scc" true (same_ids_as_oracle g);
+  let g = Families.ring 20_000 in
+  Alcotest.(check bool) "ring" true (same_ids_as_oracle g)
+
+(* one component covering every node: the subproblem is the graph *)
+let single_is_shared ?nontrivial_only g =
+  let scc = Scc.compute g in
+  match Scc.partition ?nontrivial_only g scc with
+  | [| sp |] ->
+    sp.Scc.sub == g && sp.Scc.comp = 0
+    && sp.Scc.node_of_sub = Array.init (Digraph.n g) Fun.id
+    && sp.Scc.arc_of_sub = Array.init (Digraph.m g) Fun.id
+  | _ -> false
+
+let qcheck_single_scc_shared =
+  QCheck.Test.make ~name:"scc: single-component partition returns g itself"
+    ~count:200
+    (Helpers.arb_strongly_connected ~max_n:12 ~max_extra:20 ())
+    (fun g -> single_is_shared g && single_is_shared ~nontrivial_only:false g)
+
+let test_single_node_cases () =
+  let lone = Digraph.of_arcs 1 [] in
+  Alcotest.(check int) "acyclic lone node: nothing kept" 0
+    (Array.length (Scc.partition lone (Scc.compute lone)));
+  Alcotest.(check bool) "kept on request" true
+    (single_is_shared ~nontrivial_only:false lone);
+  Alcotest.(check bool) "self-loop" true
+    (single_is_shared (Digraph.of_arcs 1 [ (0, 0, 3, 1) ]))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "component ids = oracle (deep)" `Quick
+        test_ids_match_oracle_deep;
+      Alcotest.test_case "single-node partitions" `Quick test_single_node_cases;
+    ]
+  @ Helpers.qtests
+      [ qcheck_ids_match_oracle; qcheck_ids_match_oracle_families;
+        qcheck_single_scc_shared ]
