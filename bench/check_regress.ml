@@ -46,124 +46,21 @@
    (a smoke run may legitimately cover fewer rows than the committed
    full run). *)
 
-(* ------------------------------------------------------------------ *)
-(* A fifty-line JSON reader.  The bench harness only ever emits        *)
-(* objects, arrays, strings, numbers and booleans, and the committed   *)
-(* baselines are trusted inputs — no streaming, no unicode escapes.    *)
-(* ------------------------------------------------------------------ *)
+open Trace_read
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | c -> Buffer.add_char b c);
-        advance ();
-        go ()
-      | '\255' -> fail "unterminated string"
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while num_char (peek ()) do advance () done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = '}' then (advance (); Obj [])
-      else
-        let rec members acc =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); members ((k, v) :: acc)
-          | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-    | '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = ']' then (advance (); Arr [])
-      else
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | ',' -> advance (); elements (v :: acc)
-          | ']' -> advance (); Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-    | '"' -> Str (string_lit ())
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> Num (number ())
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+(* a bench file, parsed; an unreadable or malformed one ends the run
+   with exit code 2 *)
+let load path =
+  match read_file path with
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
+  | Ok contents -> (
+    match parse_json contents with
+    | Ok j -> j
+    | Error msg ->
+      prerr_endline ("malformed JSON: " ^ msg);
+      exit 2)
 
 (* ------------------------------------------------------------------ *)
 (* Flattening: every leaf becomes (path, leaf).  Array elements that   *)
@@ -275,8 +172,8 @@ let path_parallel path =
 
 let check_pair ~baseline ~current =
   Printf.printf "== %s vs %s\n" baseline current;
-  let base_json = parse (read_file baseline) in
-  let cur_json = parse (read_file current) in
+  let base_json = load baseline in
+  let cur_json = load current in
   let cores_differ =
     match (host_cores_of base_json, host_cores_of cur_json) with
     | Some b, Some c -> b <> c
@@ -348,7 +245,7 @@ let check_pair ~baseline ~current =
    least that many cores; elsewhere the curve cannot physically show a
    speedup and the gate passes with a notice. *)
 let check_speedup ~file ~jobs ~min_speedup =
-  let j = parse (read_file file) in
+  let j = load file in
   match host_cores_of j with
   | Some cores when cores < jobs ->
     Printf.printf
@@ -410,18 +307,10 @@ let () =
   in
   let ps = pairs args in
   if ps = [] && speedup = None then usage ();
-  (try
-     (match speedup with
-     | Some (file, jobs, min_speedup) -> check_speedup ~file ~jobs ~min_speedup
-     | None -> ());
-     List.iter (fun (b, c) -> check_pair ~baseline:b ~current:c) ps
-   with
-  | Bad_json msg ->
-    Printf.eprintf "malformed JSON: %s\n" msg;
-    exit 2
-  | Sys_error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 2);
+  (match speedup with
+  | Some (file, jobs, min_speedup) -> check_speedup ~file ~jobs ~min_speedup
+  | None -> ());
+  List.iter (fun (b, c) -> check_pair ~baseline:b ~current:c) ps;
   Printf.printf
     "%d metric(s) checked, %d warning(s), %d failure(s); gate: current <= \
      %.1fx baseline + %.1f ms, identical flags must hold\n"

@@ -36,9 +36,9 @@ let inject_session sid json_line =
     ^ String.sub json_line 1 (String.length json_line - 1)
   else json_line
 
-(* one registry for the whole process: engine counters + pool health,
-   then each session's counters/latency in creation order, then the
-   worker-level gauges *)
+(* one registry for the whole process: the engine's telemetry rows and
+   pool health, each session's rows (the same table) summed into those
+   series in creation order, then the worker-level gauges *)
 let metrics_exposition t =
   let m = Engine.metrics_snapshot t.eng in
   List.iter

@@ -20,15 +20,11 @@ type t = {
   cache : (Fingerprint.t, cached option) Lru.t;
       (* [None] caches "acyclic" *)
   tel : Telemetry.t;
-  latency : Metrics.histogram; (* per-query wall ms, hits included *)
-  lat_reg : Metrics.t;
   journal : (string -> unit) option;
 }
 
 let create ?(cache_size = 256) ?journal session =
-  let lat_reg = Metrics.create () in
   { session; cache = Lru.create ~capacity:cache_size; tel = Telemetry.create ();
-    latency = Metrics.histogram lat_reg "ocr_solve_latency_ms"; lat_reg;
     journal }
 
 let session t = t.session
@@ -78,66 +74,49 @@ let exact_fields t lambda cycle =
       (Printf.sprintf
          "exact certificate: cycle sums give %s, session answered %s"
          (Ratio.to_string cert) (Ratio.to_string lambda));
-  t.tel.Telemetry.exact <- t.tel.Telemetry.exact + 1;
+  Telemetry.incr t.tel Telemetry.exact;
   [
     ("lambda_num", string_of_int (Ratio.num cert));
     ("lambda_den", string_of_int (Ratio.den cert));
   ]
 
-let telemetry_line t =
-  let tel = t.tel in
-  Njson.obj
-    [
-      ("ok", "true");
-      ("requests", string_of_int tel.Telemetry.requests);
-      ("solved", string_of_int tel.Telemetry.solved);
-      ("approx", string_of_int tel.Telemetry.approx);
-      ("exact", string_of_int tel.Telemetry.exact);
-      ("acyclic", string_of_int tel.Telemetry.acyclic);
-      ("rejected", string_of_int tel.Telemetry.rejected);
-      ("cache_hits", string_of_int tel.Telemetry.cache_hits);
-      ("cache_misses", string_of_int tel.Telemetry.cache_misses);
-      ("cache_entries", string_of_int (Lru.length t.cache));
-    ]
+(* "ok", then a curated list of counters under their table keys *)
+let counter_fields t rows =
+  ("ok", "true")
+  :: List.map
+       (fun r -> (r.Telemetry.key, string_of_int (Telemetry.value t.tel r)))
+       rows
 
-(* The same registry shape the batch engine snapshots: deterministic
-   counters first, then the latency histogram (always recorded — the
-   tracing switch gates spans, not metrics). *)
+let telemetry_line t =
+  Njson.obj
+    (counter_fields t
+       Telemetry.
+         [ requests; solved; approx; exact; acyclic; rejected; cache_hits;
+           cache_misses ]
+    @ [ ("cache_entries", string_of_int (Lru.length t.cache)) ])
+
+(* The telemetry table's rows (the latency histogram is recorded on
+   every query — the tracing switch gates spans, not metrics), then the
+   cache size. *)
 let metrics_snapshot t =
-  let m = Metrics.create () in
-  let tel = t.tel in
-  let c name v = Metrics.add (Metrics.counter m name) v in
-  c "ocr_requests_total" tel.Telemetry.requests;
-  c "ocr_solved_total" tel.Telemetry.solved;
-  c "ocr_approx_total" tel.Telemetry.approx;
-  c "ocr_approx_iterations" tel.Telemetry.approx_iterations;
-  c "ocr_exact_total" tel.Telemetry.exact;
-  c "ocr_cache_hits_total" tel.Telemetry.cache_hits;
-  c "ocr_cache_misses_total" tel.Telemetry.cache_misses;
-  c "ocr_acyclic_total" tel.Telemetry.acyclic;
-  c "ocr_rejected_total" tel.Telemetry.rejected;
+  let m = Telemetry.snapshot t.tel in
   Metrics.set (Metrics.gauge m "ocr_cache_entries") (float_of_int (Lru.length t.cache));
-  Metrics.merge_into ~into:m t.lat_reg;
   m
 
 (* NDJSON metrics snapshot for the stream protocol: counters plus a
    latency digest.  Quantiles are log2-bucket upper bounds, so the
    numbers are coarse but stable. *)
 let metrics_line t =
-  let tel = t.tel in
-  let h = t.latency in
+  let h = Telemetry.histogram t.tel Telemetry.latency in
   Njson.obj
-    [
-      ("ok", "true");
-      ("requests", string_of_int tel.Telemetry.requests);
-      ("cache_hits", string_of_int tel.Telemetry.cache_hits);
-      ("cache_misses", string_of_int tel.Telemetry.cache_misses);
-      ("latency_count", string_of_int (Metrics.hist_count h));
-      ("latency_mean_ms", Printf.sprintf "%.3f" (Metrics.hist_mean h));
-      ("latency_p50_ms", Printf.sprintf "%g" (Metrics.quantile h 0.5));
-      ("latency_p99_ms", Printf.sprintf "%g" (Metrics.quantile h 0.99));
-      ("latency_max_ms", Printf.sprintf "%.3f" (Metrics.hist_max h));
-    ]
+    (counter_fields t Telemetry.[ requests; cache_hits; cache_misses ]
+    @ [
+        ("latency_count", string_of_int (Metrics.hist_count h));
+        ("latency_mean_ms", Printf.sprintf "%.3f" (Metrics.hist_mean h));
+        ("latency_p50_ms", Printf.sprintf "%g" (Metrics.quantile h 0.5));
+        ("latency_p99_ms", Printf.sprintf "%g" (Metrics.quantile h 0.99));
+        ("latency_max_ms", Printf.sprintf "%.3f" (Metrics.hist_max h));
+      ])
 
 let log_journal t op =
   match t.journal with
@@ -145,30 +124,30 @@ let log_journal t op =
   | None -> ()
 
 let do_query_inner t ~exact =
-  t.tel.Telemetry.requests <- t.tel.Telemetry.requests + 1;
+  Telemetry.incr t.tel Telemetry.requests;
   let fp = Dyn.fingerprint t.session in
   match Lru.find t.cache fp with
   | Some entry ->
-    t.tel.Telemetry.cache_hits <- t.tel.Telemetry.cache_hits + 1;
+    Telemetry.incr t.tel Telemetry.cache_hits;
     (match entry with
     | None ->
-      t.tel.Telemetry.acyclic <- t.tel.Telemetry.acyclic + 1;
+      Telemetry.incr t.tel Telemetry.acyclic;
       answer_line t ~cached:true ~resolved:0 None
     | Some c ->
-      t.tel.Telemetry.solved <- t.tel.Telemetry.solved + 1;
+      Telemetry.incr t.tel Telemetry.solved;
       let cycle = List.map (Dyn.of_graph_arc t.session) c.c_cycle in
       let ex = if exact then exact_fields t c.c_lambda cycle else [] in
       answer_line t ~cached:true ~resolved:0 ~exact:ex
         (Some (c.c_lambda, cycle, c.c_components)))
   | None -> (
-    t.tel.Telemetry.cache_misses <- t.tel.Telemetry.cache_misses + 1;
+    Telemetry.incr t.tel Telemetry.cache_misses;
     match Dyn.query t.session with
     | None ->
-      t.tel.Telemetry.acyclic <- t.tel.Telemetry.acyclic + 1;
+      Telemetry.incr t.tel Telemetry.acyclic;
       Lru.add t.cache fp None;
       answer_line t ~cached:false ~resolved:0 None
     | Some r ->
-      t.tel.Telemetry.solved <- t.tel.Telemetry.solved + 1;
+      Telemetry.incr t.tel Telemetry.solved;
       Telemetry.record_ops t.tel r.Dyn.stats;
       Lru.add t.cache fp
         (Some
@@ -187,8 +166,8 @@ let do_query_inner t ~exact =
    fingerprint, and an eps-wide interval must never shadow them (nor
    vice versa: a later exact query still re-solves). *)
 let do_query_approx t ~eps =
-  t.tel.Telemetry.requests <- t.tel.Telemetry.requests + 1;
-  t.tel.Telemetry.cache_misses <- t.tel.Telemetry.cache_misses + 1;
+  Telemetry.incr t.tel Telemetry.requests;
+  Telemetry.incr t.tel Telemetry.cache_misses;
   let g = Dyn.graph t.session in
   let stats = Stats.create () in
   match
@@ -196,12 +175,11 @@ let do_query_approx t ~eps =
       ~objective:(Dyn.objective t.session) ~eps g
   with
   | None ->
-    t.tel.Telemetry.acyclic <- t.tel.Telemetry.acyclic + 1;
+    Telemetry.incr t.tel Telemetry.acyclic;
     Njson.obj (ok_fields t [ ("acyclic", "true") ])
   | Some (c : Approx.certificate) ->
-    t.tel.Telemetry.approx <- t.tel.Telemetry.approx + 1;
-    t.tel.Telemetry.approx_iterations <-
-      t.tel.Telemetry.approx_iterations + c.Approx.rounds;
+    Telemetry.incr t.tel Telemetry.approx;
+    Telemetry.add t.tel Telemetry.approx_iterations c.Approx.rounds;
     Telemetry.record_ops t.tel stats;
     let cycle = List.map (Dyn.of_graph_arc t.session) c.Approx.witness in
     Njson.obj
@@ -225,7 +203,8 @@ let do_query ?eps ?(exact = false) t =
   if !Obs.enabled_flag then Trace.begin_span sp_query;
   let t0 = Obs.now_ns () in
   let finish () =
-    Metrics.observe t.latency (float_of_int (Obs.now_ns () - t0) /. 1e6);
+    Telemetry.observe t.tel Telemetry.latency
+      (float_of_int (Obs.now_ns () - t0) /. 1e6);
     if !Obs.enabled_flag then Trace.end_span sp_query
   in
   let run () =
@@ -247,7 +226,7 @@ let do_query ?eps ?(exact = false) t =
    state is unchanged by failed requests. *)
 let handle t line =
   let reject msg =
-    t.tel.Telemetry.rejected <- t.tel.Telemetry.rejected + 1;
+    Telemetry.incr t.tel Telemetry.rejected;
     `Reply (Dyn_protocol.error_line msg)
   in
   match Dyn_protocol.parse line with

@@ -20,10 +20,10 @@ val session : t -> Dyn.t
 val telemetry : t -> Telemetry.t
 
 val metrics_snapshot : t -> Metrics.t
-(** Counters plus the per-query [ocr_solve_latency_ms] histogram
-    (recorded on every query, cache hits included, independent of the
-    tracing switch) in the same registry shape as
-    [Engine.metrics_snapshot]. *)
+(** Every row of the {!Telemetry} table, as [Engine.metrics_snapshot]
+    has them — the per-query [ocr_solve_latency_ms] histogram is
+    recorded on every query, cache hits included, independent of the
+    tracing switch — then the [ocr_cache_entries] gauge. *)
 
 val metrics_line : t -> string
 (** One-line NDJSON metrics digest — the reply to the ["metrics"]

@@ -65,21 +65,16 @@ type t = {
   exec : Executor.t;
   cache : (Request.key, cache_entry) Lru.t;
   files : File_table.t; (* path -> fingerprint, for {!solve_path} *)
-  telemetry : Telemetry.t; (* engine lifetime; coordinator-only access *)
-  latency : Metrics.histogram; (* per-request wall ms; coordinator-only *)
-  lat_reg : Metrics.t; (* owns [latency], merged into snapshots *)
+  tel : Telemetry.t; (* engine lifetime; coordinator-only access *)
   now : unit -> float;
 }
 
 let create ?(jobs = 1) ?(cache_size = 256) ?(now = Unix.gettimeofday) () =
-  let lat_reg = Metrics.create () in
   {
     exec = Executor.create ~jobs;
     cache = Lru.create ~capacity:cache_size;
     files = File_table.create ~capacity:cache_size;
-    telemetry = Telemetry.create ();
-    latency = Metrics.histogram lat_reg "ocr_solve_latency_ms";
-    lat_reg;
+    tel = Telemetry.create ();
     now;
   }
 
@@ -89,30 +84,13 @@ let resize_cache t capacity =
   Lru.resize t.cache capacity;
   File_table.resize t.files capacity
 
-let telemetry t = t.telemetry
+let telemetry t = t.tel
 
 let shutdown t = Executor.shutdown t.exec
 
-(* One coherent registry for the serve/stream exporters: the
-   deterministic telemetry counters, the solve-latency histogram, and
-   the executor pool-health sample, in that fixed order. *)
+(* the telemetry table's rows, then the executor pool-health sample *)
 let metrics_snapshot t =
-  let m = Metrics.create () in
-  let tel = t.telemetry in
-  let c name v = Metrics.add (Metrics.counter m name) v in
-  c "ocr_requests_total" tel.Telemetry.requests;
-  c "ocr_solved_total" tel.Telemetry.solved;
-  c "ocr_cache_hits_total" tel.Telemetry.cache_hits;
-  c "ocr_cache_misses_total" tel.Telemetry.cache_misses;
-  c "ocr_cache_collisions_total" tel.Telemetry.collisions;
-  c "ocr_acyclic_total" tel.Telemetry.acyclic;
-  c "ocr_timeouts_total" tel.Telemetry.timeouts;
-  c "ocr_rejected_total" tel.Telemetry.rejected;
-  c "ocr_fallbacks_total" tel.Telemetry.fallbacks;
-  c "ocr_approx_total" tel.Telemetry.approx;
-  c "ocr_approx_iterations" tel.Telemetry.approx_iterations;
-  c "ocr_exact_total" tel.Telemetry.exact;
-  Metrics.merge_into ~into:m t.lat_reg;
+  let m = Telemetry.snapshot t.tel in
   Executor.sample_metrics t.exec m;
   m
 
@@ -167,8 +145,7 @@ let solve_approx t ~inner_pool tel (req : Request.t) ~deadline_at ~fallback =
     let wall_ms = (t.now () -. t0) *. 1000.0 in
     Telemetry.record_ops tel stats;
     Telemetry.record_run tel "approx" ~wall_ms;
-    tel.Telemetry.approx_iterations <-
-      tel.Telemetry.approx_iterations + cert.Approx.rounds;
+    Telemetry.add tel Telemetry.approx_iterations cert.Approx.rounds;
     Approximate
       {
         lo = cert.Approx.lo;
@@ -368,45 +345,49 @@ let verify_fresh req outcome =
   | o -> o
 
 (* A fresh solve plus verification, run inside an executor task.
-   Returns the outcome together with this request's telemetry delta
-   (merged by the coordinator at the join, in request order).
-   [inner_pool] is the intra-request parallelism verdict passed on to
-   {!solve_fresh}. *)
+   Returns the outcome together with the telemetry shard the task
+   recorded into (merged by the coordinator at the join, in request
+   order).  [inner_pool] is the intra-request parallelism verdict
+   passed on to {!solve_fresh}. *)
 let solve_task t ~inner_pool req () =
   let tel = Telemetry.create () in
-  let t0 = t.now () in
   let outcome =
     verify_fresh req (finish_exact req (solve_fresh t ~inner_pool tel req))
   in
-  tel.Telemetry.wall_ms <- (t.now () -. t0) *. 1000.0;
   (outcome, tel)
 
-(* Classify a response into the deterministic coordinator counters;
-   when tracing is on, also drop a cache hit/miss instant on the
-   timeline. *)
-let count_outcome tel = function
+(* {!solve_task} on the coordinating thread, its shard folded in *)
+let solve_here t ~inner_pool req =
+  let outcome, shard = solve_task t ~inner_pool req () in
+  Telemetry.merge_into ~into:t.tel shard;
+  outcome
+
+let count_cached tel cached =
+  if !Obs.enabled_flag then
+    Trace.instant (if cached then sp_cache_hit else sp_cache_miss);
+  Telemetry.incr tel
+    (if cached then Telemetry.cache_hits else Telemetry.cache_misses)
+
+let count_uncached tel row =
+  Telemetry.incr tel row;
+  Telemetry.incr tel Telemetry.cache_misses
+
+(* Count one answered request into the deterministic coordinator
+   counters; when tracing is on, also drop a cache hit/miss instant on
+   the timeline. *)
+let count_outcome tel outcome =
+  Telemetry.incr tel Telemetry.requests;
+  match outcome with
   | Solved s ->
-    tel.Telemetry.solved <- tel.Telemetry.solved + 1;
-    if s.exact <> None then tel.Telemetry.exact <- tel.Telemetry.exact + 1;
-    if !Obs.enabled_flag then
-      Trace.instant (if s.cached then sp_cache_hit else sp_cache_miss);
-    if s.cached then tel.Telemetry.cache_hits <- tel.Telemetry.cache_hits + 1
-    else tel.Telemetry.cache_misses <- tel.Telemetry.cache_misses + 1
+    Telemetry.incr tel Telemetry.solved;
+    if s.exact <> None then Telemetry.incr tel Telemetry.exact;
+    count_cached tel s.cached
   | Approximate a ->
-    tel.Telemetry.approx <- tel.Telemetry.approx + 1;
-    if !Obs.enabled_flag then
-      Trace.instant (if a.cached then sp_cache_hit else sp_cache_miss);
-    if a.cached then tel.Telemetry.cache_hits <- tel.Telemetry.cache_hits + 1
-    else tel.Telemetry.cache_misses <- tel.Telemetry.cache_misses + 1
-  | Acyclic ->
-    tel.Telemetry.acyclic <- tel.Telemetry.acyclic + 1;
-    tel.Telemetry.cache_misses <- tel.Telemetry.cache_misses + 1
-  | Timeout _ ->
-    tel.Telemetry.timeouts <- tel.Telemetry.timeouts + 1;
-    tel.Telemetry.cache_misses <- tel.Telemetry.cache_misses + 1
-  | Rejected _ ->
-    tel.Telemetry.rejected <- tel.Telemetry.rejected + 1;
-    tel.Telemetry.cache_misses <- tel.Telemetry.cache_misses + 1
+    Telemetry.incr tel Telemetry.approx;
+    count_cached tel a.cached
+  | Acyclic -> count_uncached tel Telemetry.acyclic
+  | Timeout _ -> count_uncached tel Telemetry.timeouts
+  | Rejected _ -> count_uncached tel Telemetry.rejected
 
 let entry_of_solved lambda cycle components algorithm cert =
   E_exact
@@ -488,7 +469,7 @@ let from_cache tel (req : Request.t) entry =
     match check with
     | Ok () -> Some (cached_outcome ~checked:true entry)
     | Error _ ->
-      tel.Telemetry.collisions <- tel.Telemetry.collisions + 1;
+      Telemetry.incr tel Telemetry.collisions;
       None
 
 let cache_insert t key outcome =
@@ -503,33 +484,29 @@ let cache_insert t key outcome =
 (* The bookkeeping of every single request, however it is answered:
    the engine.request span under the propagated cluster trace id (0 =
    standalone, which records exactly the untagged span of old), the
-   deterministic counters and the latency histogram.  [answer] returns
-   the outcome plus whatever its caller needs back. *)
+   deterministic counters and the latency histogram, all recorded
+   straight into the engine's store.  [answer] returns the outcome plus
+   whatever its caller needs back. *)
 let respond t ~id (spec : Request.spec) answer =
   if !Obs.enabled_flag then Trace.begin_span_id sp_request spec.Request.trace;
   let t0 = t.now () in
-  let tel = Telemetry.create () in
-  tel.Telemetry.requests <- 1;
-  let outcome, extra = answer tel in
-  count_outcome tel outcome;
-  tel.Telemetry.wall_ms <- (t.now () -. t0) *. 1000.0;
-  Telemetry.add t.telemetry tel;
+  let outcome, extra = answer () in
+  count_outcome t.tel outcome;
   let wall_ms = (t.now () -. t0) *. 1000.0 in
-  Metrics.observe t.latency wall_ms;
+  Telemetry.observe t.tel Telemetry.latency wall_ms;
   if !Obs.enabled_flag then Trace.end_span_id sp_request spec.Request.trace;
   ({ id; path = spec.Request.path; outcome; wall_ms }, extra)
 
 (* {!solve}, also returning the request's cache key *)
 let solve_keyed t (req : Request.t) =
-  respond t ~id:req.Request.id req.Request.spec (fun tel ->
+  respond t ~id:req.Request.id req.Request.spec (fun () ->
       let key = Request.key req in
-      match Option.bind (Lru.find t.cache key) (from_cache tel req) with
+      match Option.bind (Lru.find t.cache key) (from_cache t.tel req) with
       | Some o -> (o, key)
       | None ->
         (* a lone request is the only client: intra-request parallelism
            gets the whole pool *)
-        let outcome, delta = solve_task t ~inner_pool:(Some t.exec) req () in
-        Telemetry.add tel delta;
+        let outcome = solve_here t ~inner_pool:(Some t.exec) req in
         cache_insert t key outcome;
         (outcome, key))
 
@@ -555,7 +532,7 @@ let solve_path t ~id (spec : Request.spec) =
   match cached with
   | Some entry ->
     let resp, () =
-      respond t ~id spec (fun _ -> (cached_outcome ~checked:false entry, ()))
+      respond t ~id spec (fun () -> (cached_outcome ~checked:false entry, ()))
     in
     Ok resp
   | None -> (
@@ -629,19 +606,18 @@ let run_batch t (reqs : Request.t list) =
         | `Cache e -> (req, key, `Cache e))
       classified
   in
-  (* collect in request order; merge telemetry deltas at the join *)
+  (* collect in request order; merge telemetry shards at the join *)
   let resolved : (Request.key, outcome) Hashtbl.t = Hashtbl.create 64 in
+  let tel = t.tel in
   let responses =
     List.map
       (fun (req, key, kind) ->
         let t0 = t.now () in
-        let tel = Telemetry.create () in
-        tel.Telemetry.requests <- 1;
         let outcome =
           match kind with
           | `First fut ->
-            let outcome, delta = Executor.await t.exec fut in
-            Telemetry.add tel delta;
+            let outcome, shard = Executor.await t.exec fut in
+            Telemetry.merge_into ~into:tel shard;
             cache_insert t key outcome;
             Hashtbl.replace resolved key outcome;
             outcome
@@ -657,12 +633,9 @@ let run_batch t (reqs : Request.t list) =
               | None ->
                 (* verify-on-hit failed: impossible for a genuine
                    duplicate, but fall back to a fresh solve *)
-                let outcome, delta = solve_task t ~inner_pool req () in
-                Telemetry.add tel delta;
-                outcome)
+                solve_here t ~inner_pool req)
             | None ->
-              let outcome, delta = solve_task t ~inner_pool req () in
-              Telemetry.add tel delta;
+              let outcome = solve_here t ~inner_pool req in
               cache_insert t key outcome;
               Hashtbl.replace resolved key outcome;
               outcome)
@@ -670,15 +643,13 @@ let run_batch t (reqs : Request.t list) =
             match from_cache tel req e with
             | Some o -> o
             | None ->
-              let outcome, delta = solve_task t ~inner_pool req () in
-              Telemetry.add tel delta;
+              let outcome = solve_here t ~inner_pool req in
               cache_insert t key outcome;
               outcome)
         in
         count_outcome tel outcome;
-        Telemetry.add t.telemetry tel;
         let wall_ms = (t.now () -. t0) *. 1000.0 in
-        Metrics.observe t.latency wall_ms;
+        Telemetry.observe tel Telemetry.latency wall_ms;
         {
           id = req.Request.id;
           path = req.Request.spec.Request.path;

@@ -107,16 +107,16 @@ val resize_cache : t -> int -> unit
 (** Re-budget the result LRU in place ({!Lru.resize} semantics). *)
 
 val telemetry : t -> Telemetry.t
-(** Cumulative over the engine's lifetime; read it only from the
-    thread driving {!solve} / {!run_batch}. *)
+(** The engine's counter store, cumulative over its lifetime; read it
+    only from the thread driving {!solve} / {!run_batch}. *)
 
 val metrics_snapshot : t -> Metrics.t
-(** A fresh registry holding the engine's cumulative counters
-    ([ocr_requests_total], [ocr_cache_hits_total], ...), the
-    [ocr_solve_latency_ms] histogram (always recorded, independent of
-    the tracing switch), and the executor pool-health sample.  Export
-    with {!Metrics.to_prometheus} or {!Metrics.pp_summary}; call it
-    from the coordinator thread only. *)
+(** A fresh registry holding every row of the {!Telemetry} table — the
+    cumulative counters, the [ocr_solve_latency_ms] histogram (always
+    recorded, independent of the tracing switch) and the per-algorithm
+    series — then the executor pool-health sample.  Export with
+    {!Metrics.to_prometheus} or {!Metrics.pp_summary}; call it from the
+    coordinator thread only. *)
 
 val solve : t -> Request.t -> response
 (** Serve one request: probe the cache (re-certifying the hit against

@@ -1,58 +1,118 @@
-(** Engine telemetry: requests served, cache behavior, per-algorithm
-    attempt counts and wall time, portfolio fallbacks, and the merged
-    solver operation counters.
+(** Engine telemetry: the table of every counter the batch engine and
+    the stream sessions keep, the store that holds them, and its views.
 
-    Following the per-domain-instances rule, telemetry records are
-    never shared across domains: each solve task produces its own
-    delta record, and the coordinating thread combines deltas with
-    {!add} (or {!merge}) at the join — in request-id order, so every
-    counter is deterministic regardless of the [--jobs] setting.  Wall
-    times are the only nondeterministic fields and are deliberately
-    excluded from {!pp_summary} (they do appear in {!to_csv} /
-    {!to_json}). *)
+    Each counter is declared once, as a {!row} giving its Prometheus
+    name and its {!kind}.  A store ({!t}) is a {!Metrics} registry with
+    one cell per row, so the Prometheus exposition ({!snapshot}) lists
+    every row, and {!to_csv}, {!to_json} and {!pp_summary} read the
+    same cells.  The CSV/JSON key of a row is its name without the
+    [ocr_] prefix and the [_total] suffix (the latency row keeps its
+    key [wall_ms] that the CSV and JSON have always used).  Adding a
+    counter is adding a row.
 
-type alg_counters = {
-  mutable runs : int;
-  mutable blowouts : int;
-  mutable alg_wall_ms : float;
-}
+    Following the per-domain-instances rule, a store is never shared
+    across domains: the coordinating thread records into its store
+    directly, each solve task records into a shard of its own from
+    {!create}, and the coordinator folds the shard in with
+    {!merge_into} at the join — in request-id order, so every counter
+    is deterministic regardless of the [--jobs] setting.  Wall times
+    are the only nondeterministic values and are excluded from
+    {!pp_summary}. *)
 
-type t = {
-  mutable requests : int;
-  mutable solved : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable acyclic : int;
-  mutable timeouts : int;
-  mutable rejected : int;
-  mutable approx : int;  (** approx-lane answers, direct or deadline fallback *)
-  mutable approx_iterations : int;  (** value-iteration rounds in the lane *)
-  mutable exact : int;  (** answers carrying an exact rational certificate *)
-  mutable fallbacks : int;
-  mutable collisions : int;
-  mutable wall_ms : float;
-  per_alg : (string, alg_counters) Hashtbl.t;
-  ops : Stats.t;
-}
+type kind =
+  | Count  (** an int counter *)
+  | Portfolio
+      (** an int counter that the CSV/JSON list after the other counts *)
+  | Ms  (** wall time in ms, a histogram; the CSV/JSON print its sum *)
+  | Op of (Stats.t -> int)  (** an int counter fed by {!record_ops} *)
+  | Per_alg of kind
+      (** one [Count] or [Ms] series per algorithm: the [*] in the row's
+          name stands for the algorithm name *)
+
+type row = private { name : string; key : string; kind : kind; idx : int }
+
+(** {1 The table} *)
+
+val requests : row
+val solved : row
+val cache_hits : row
+val cache_misses : row
+
+val collisions : row
+(** cache hits invalidated by verification *)
+
+val acyclic : row
+val timeouts : row
+val rejected : row
+
+val fallbacks : row
+(** portfolio steps taken past the first *)
+
+val approx : row
+(** approx-lane answers, direct or deadline fallback *)
+
+val approx_iterations : row
+(** value-iteration rounds in the lane *)
+
+val exact : row
+(** answers carrying an exact rational certificate *)
+
+val latency : row
+(** [ocr_solve_latency_ms]: one observation per request, timed by the
+    front-end that answers it. *)
+
+val table : row list
+(** Every row, in exposition order, the per-algorithm rows (runs,
+    blowouts, wall ms) last. *)
+
+val instantiate : string -> string -> string
+(** [instantiate s alg] replaces the [*] of a per-algorithm row's name
+    or key with [alg]. *)
+
+(** {1 The store} *)
+
+type t
 
 val create : unit -> t
+(** A store with every engine-wide row registered at zero. *)
+
+val snapshot : t -> Metrics.t
+(** A fresh copy of the store's registry — every row, in table order,
+    then the per-algorithm series — for an exporter to extend. *)
+
+val incr : t -> row -> unit
+val add : t -> row -> int -> unit
+val value : t -> row -> int
+
+val observe : t -> row -> float -> unit
+(** Record one wall time into an [Ms] row. *)
+
+val histogram : t -> row -> Metrics.histogram
+
+val record_ops : t -> Stats.t -> unit
+(** Adds every [Op] row's field of the record. *)
+
 val record_run : t -> string -> wall_ms:float -> unit
+
 val record_blowout : t -> string -> wall_ms:float -> unit
 (** Also counts a portfolio fallback. *)
 
-val record_ops : t -> Stats.t -> unit
-val add : t -> t -> unit
-(** [add acc x] accumulates [x] into [acc]. *)
+val merge_into : into:t -> t -> unit
+(** Fold a shard into a store. *)
 
-val merge : t -> t -> t
-(** Functional combination into a fresh record. *)
+(** {1 Views} *)
 
 val hit_rate : t -> float
-(** [cache_hits / requests]; 0 on an empty record. *)
+(** [cache_hits / requests]; 0 on an empty store. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Deterministic counters only (no wall times), one [key=value] group
     per line. *)
 
 val to_csv : t -> string
+(** [metric,value] lines: the engine-wide rows grouped by kind, then
+    each algorithm's rows, algorithms sorted by name. *)
+
 val to_json : t -> string
+(** The same, as one object, with each algorithm's rows nested in the
+    ["algorithms"] array; the [Op] rows are left out. *)

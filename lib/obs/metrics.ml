@@ -2,7 +2,7 @@
    histograms.
 
    A registry is NOT thread-safe, on purpose: it follows the same
-   per-domain-instances rule as Telemetry and Stats — each concurrent
+   per-domain-instances rule as Stats — each concurrent
    task records into its own registry (or its own metric cells), and
    the coordinator merges the shards at the join in task order, so the
    merged result is deterministic for every job count.  Registration

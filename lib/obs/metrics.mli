@@ -4,7 +4,7 @@
     A registry is single-domain by design — concurrent tasks record
     into their own shard and the coordinator merges shards at the join
     in task order ({!merge_into}), the same per-domain-instances rule
-    Telemetry and Stats follow, so merged values are deterministic for
+    Stats follows, so merged values are deterministic for
     every job count.  Find-or-create registration is setup-path work;
     recording into an obtained cell is O(1) and allocation-free. *)
 

@@ -73,8 +73,7 @@ let name_of id =
 
 (* JSON string literal, with every byte that could break a consumer
    escaped.  Printf's %S is OCaml escaping, not JSON: it emits decimal
-   escapes like \027 that JSON parsers reject, which is the bug this
-   replaces in Telemetry. *)
+   escapes like \027 that JSON parsers reject. *)
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';

@@ -192,6 +192,95 @@ let test_lru_resize_grow_and_disable () =
   Alcotest.(check (option int)) "re-enabled cache works" (Some 9)
     (Lru.find c 9)
 
+(* ------------------------------------------------------------------ *)
+(* worker exposition                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let with_temp_file suffix contents f =
+  let path = Filename.temp_file "ocr_test_worker" suffix in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+(* A worker with one engine and two sessions exports every table row
+   once, each the sum of what a standalone engine and two standalone
+   sessions fed the same lines count. *)
+let test_worker_exposition_sums_parts () =
+  let g3 = "p ocr 3 3\na 1 2 2 1\na 2 1 4 1\na 3 3 9 1\n" in
+  with_temp_file ".ocr" g3 @@ fun graph ->
+  let serve = [ graph; graph ^ " verify=true"; graph ^ " problem=ratio" ] in
+  let ops sid =
+    List.map
+      (fun op -> Printf.sprintf "{%s,\"session\":%S}" op sid)
+      [ {|"op":"query"|}; {|"op":"query"|}; {|"op":"query","eps":0.05|};
+        {|"op":"set_weight","arc":9,"weight":1|} ]
+  in
+  let open_ sid =
+    Printf.sprintf {|{"op":"open","session":%S,"graph":%S}|} sid graph
+  in
+  let lines =
+    serve @ [ open_ "a" ] @ ops "a" @ [ open_ "b" ] @ ops "b" @ [ "metrics" ]
+  in
+  let out =
+    with_temp_file ".in" (String.concat "\n" lines ^ "\n") @@ fun input ->
+    with_temp_file ".out" "" @@ fun output ->
+    In_channel.with_open_bin input (fun ic ->
+        Out_channel.with_open_bin output (fun oc ->
+            Cluster_worker.run ~worker_id:0 ic oc));
+    In_channel.with_open_bin output In_channel.input_all
+  in
+  let replies = String.split_on_char '\n' (String.trim out) in
+  let last = List.nth replies (List.length lines - 1) in
+  let text =
+    match Njson.parse_flat last with
+    | Ok fields -> Option.get (Njson.field_string fields "metrics")
+    | Error e -> Alcotest.fail e
+  in
+  (* the parts, fed the same lines standalone *)
+  let eng = Engine.create () in
+  List.iteri
+    (fun i line ->
+      match Request.parse_spec line with
+      | Ok spec -> ignore (Engine.solve_path eng ~id:(i + 1) spec)
+      | Error e -> Alcotest.fail e)
+    serve;
+  let session sid =
+    let srv = Dyn_serve.create (Dyn.create (Graph_io.load graph)) in
+    List.iter (fun l -> ignore (Dyn_serve.handle srv l)) (ops sid);
+    Dyn_serve.telemetry srv
+  in
+  let parts = [ Engine.telemetry eng; session "a"; session "b" ] in
+  Engine.shutdown eng;
+  let samples = String.split_on_char '\n' text in
+  let m =
+    match Metrics.of_prometheus text with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (r : Telemetry.row) ->
+      let name = Telemetry.instantiate r.name "howard" in
+      let ms =
+        match r.kind with
+        | Telemetry.Ms | Telemetry.Per_alg Telemetry.Ms -> true
+        | _ -> false
+      in
+      let read m =
+        if ms then Metrics.hist_count (Metrics.histogram m name)
+        else Metrics.counter_value (Metrics.counter m name)
+      in
+      let sample = if ms then name ^ "_count " else name ^ " " in
+      Alcotest.(check int)
+        (name ^ " listed once") 1
+        (List.length (List.filter (String.starts_with ~prefix:sample) samples));
+      Alcotest.(check int)
+        (name ^ " is the sum of the parts")
+        (List.fold_left
+           (fun acc tel -> acc + read (Telemetry.snapshot tel))
+           0 parts)
+        (read m))
+    Telemetry.table
+
 let suite =
   [
     Alcotest.test_case "shard: deterministic" `Quick test_assign_deterministic;
@@ -211,5 +300,7 @@ let suite =
       test_lru_resize_shrink_evicts_lru;
     Alcotest.test_case "lru: grow, disable, re-enable" `Quick
       test_lru_resize_grow_and_disable;
+    Alcotest.test_case "worker exposition: every row, summed" `Quick
+      test_worker_exposition_sums_parts;
   ]
   @ Helpers.qtests [ qcheck_minimal_reshuffle ]

@@ -658,7 +658,7 @@ let test_telemetry_export_escaping () =
   let tel = Telemetry.create () in
   let evil = "ho\"ward, the \\ 2nd" in
   Telemetry.record_run tel evil ~wall_ms:1.5;
-  tel.Telemetry.requests <- 1;
+  Telemetry.incr tel Telemetry.requests;
   (match Trace_read.parse_json (Telemetry.to_json tel) with
   | Error e -> Alcotest.fail ("to_json unparsable: " ^ e)
   | Ok (Trace_read.Obj fields) -> (
@@ -675,6 +675,63 @@ let test_telemetry_export_escaping () =
   Alcotest.(check bool)
     "csv quotes the metric name" true
     (List.mem quoted (String.split_on_char '\n' csv))
+
+(* "declared once": every row of the telemetry table reaches the
+   exposition, the CSV and the JSON under its one name, and adding a
+   counter is adding a row *)
+let test_telemetry_table_views () =
+  let tel = Telemetry.create () in
+  Telemetry.record_run tel "howard" ~wall_ms:1.5;
+  let expo =
+    String.split_on_char '\n'
+      (Metrics.to_prometheus (Telemetry.snapshot tel))
+  in
+  let csv = String.split_on_char '\n' (Telemetry.to_csv tel) in
+  let json =
+    match Trace_read.parse_json (Telemetry.to_json tel) with
+    | Ok (Trace_read.Obj fields) -> fields
+    | _ -> Alcotest.fail "to_json is not an object"
+  in
+  let alg_json =
+    match List.assoc_opt "algorithms" json with
+    | Some (Trace_read.Arr [ Trace_read.Obj fields ]) -> fields
+    | _ -> Alcotest.fail "algorithms is not a one-object array"
+  in
+  let names = List.map (fun (r : Telemetry.row) -> r.name) Telemetry.table in
+  Alcotest.(check int) "names are distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (r : Telemetry.row) ->
+      let name = Telemetry.instantiate r.name "howard" in
+      let key = Telemetry.instantiate r.key "howard" in
+      let kind =
+        match r.kind with
+        | Telemetry.Ms | Telemetry.Per_alg Telemetry.Ms -> "histogram"
+        | _ -> "counter"
+      in
+      Alcotest.(check bool)
+        (name ^ " in the exposition") true
+        (List.mem (Printf.sprintf "# TYPE %s %s" name kind) expo);
+      Alcotest.(check bool)
+        (key ^ " in the CSV") true
+        (List.exists (String.starts_with ~prefix:(key ^ ",")) csv);
+      if r.key <> "wall_ms" then
+        Alcotest.(check string) (name ^ " keyed by its name")
+          ("ocr_" ^ r.key)
+          (if String.ends_with ~suffix:"_total" r.name then
+             String.sub r.name 0 (String.length r.name - 6)
+           else r.name);
+      match r.kind with
+      | Telemetry.Op _ -> () (* Telemetry.to_json leaves them out *)
+      | Telemetry.Per_alg _ ->
+        let inner = String.sub r.key 6 (String.length r.key - 6) in
+        Alcotest.(check bool)
+          (key ^ " in the JSON algorithm object") true
+          (List.mem_assoc inner alg_json)
+      | _ ->
+        Alcotest.(check bool)
+          (key ^ " in the JSON") true (List.mem_assoc key json))
+    Telemetry.table
 
 let suite =
   [
@@ -726,4 +783,6 @@ let suite =
       test_csv_field_quoting;
     Alcotest.test_case "telemetry exports escape names" `Quick
       test_telemetry_export_escaping;
+    Alcotest.test_case "telemetry table reaches every view" `Quick
+      test_telemetry_table_views;
   ]
