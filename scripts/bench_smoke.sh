@@ -3,7 +3,9 @@
 # --seeds 1 writing bench-eNN.json (experiments without a JSON emitter
 # just ignore the flag), then every applicable check_regress gate —
 # the E14 multicore-speedup promise and each committed BENCH_pr*.json
-# baseline against the file this run just wrote.  Timings gate loose
+# baseline against the file this run just wrote, then the E9 table
+# (Lawler/Lawler+ oracle calls, Howard iterations: deterministic
+# counts) against bench/e9.expected.  Timings gate loose
 # (2.5x + 1 ms slack; CI boxes are noisy and differ from the box that
 # recorded the baselines), the identical / exact_matches_float flags
 # gate strict.  Used by CI; runnable locally from the repo root after
@@ -41,5 +43,11 @@ gate \
   BENCH_pr9.json bench-e18.json \
   BENCH_pr10.json bench-e19.json \
   BENCH_pr17.json bench-e20.json
+
+# E9 counts oracle calls and iterations only, so its table must match
+# the committed one line for line (the timing footer is dropped)
+run --only E9 --seeds 1 | grep -v '^\[E9 done in' > e9.out
+diff bench/e9.expected e9.out
+rm -f e9.out
 
 echo "bench_smoke: OK"
