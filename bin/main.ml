@@ -368,12 +368,9 @@ let critical_cmd =
       print_endline "acyclic graph";
       exit 2
     | Some r ->
-      let den =
-        match problem with
-        | Solver.Cycle_mean -> fun _ -> 1
-        | Solver.Cycle_ratio -> Digraph.transit g
+      let arcs =
+        Critical.critical_arcs ~den:(Critical.den problem g) g r.Solver.lambda
       in
-      let arcs = Critical.critical_arcs ~den g r.Solver.lambda in
       if dot then print_string (Graph_io.to_dot ~highlight:arcs g)
       else begin
         Printf.printf "lambda = %s\ncritical arcs (%d):\n"

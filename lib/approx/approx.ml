@@ -25,18 +25,6 @@ let validate_eps eps =
 
 let sp_solve = Obs.intern "approx.solve"
 
-(* per-problem denominator callback and a-priori integer λ* bounds *)
-let problem_spec problem g =
-  match problem with
-  | Solver.Cycle_mean ->
-    ((fun _ -> 1), (Digraph.min_weight g, Digraph.max_weight g))
-  | Solver.Cycle_ratio ->
-    let maxabs =
-      Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-    in
-    let b = (Digraph.n g * maxabs) + 1 in
-    (Digraph.transit g, (-b, b))
-
 (* the Altschuler–Parrilo-style truncation: ~1/ε rounds of value
    iteration per test, never more than n (after n rounds the exact
    FIFO engine is the better spend) *)
@@ -66,7 +54,8 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
       let solve_sub ?pool (sp : Scc.subproblem) =
         Option.iter Budget.check budget;
         let sub = sp.Scc.sub in
-        let den, bounds = problem_spec problem sub in
+        let den = Critical.den problem sub
+        and bounds = Critical.lambda_bounds problem sub in
         let sub_stats = Stats.create () in
         let r =
           Approx_lane.solve ~stats:sub_stats ?budget ?pool ~den ~bounds ~width
@@ -88,7 +77,8 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
       let lane_best key =
         Option.map fst (Fanout.best ~key:(fun (r, _) -> key r) results)
       in
-      let den_g, (blo_g, _) = problem_spec problem g_min in
+      let den_g = Critical.den problem g_min
+      and blo_g = fst (Critical.lambda_bounds problem g_min) in
       (* components the budget never reached only widen the interval:
          their λ* is still above the graph-wide a-priori lower bound,
          and any completed component's hi keeps bounding the global
@@ -140,11 +130,7 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
 
 let recheck ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize) g
     cert =
-  let den =
-    match problem with
-    | Solver.Cycle_mean -> fun _ -> 1
-    | Solver.Cycle_ratio -> Digraph.transit g
-  in
+  let den = Critical.den problem g in
   try
     if cert.witness = [] then Error "approx certificate: empty witness"
     else if not (Digraph.is_cycle g cert.witness) then
@@ -175,7 +161,8 @@ let lane_run problem ?stats ?budget ?pool ~eps g =
   (match problem with
   | Solver.Cycle_ratio -> Critical.assert_ratio_well_posed g
   | Solver.Cycle_mean -> ());
-  let den, bounds = problem_spec problem g in
+  let den = Critical.den problem g
+  and bounds = Critical.lambda_bounds problem g in
   let width = eps *. scale g in
   let r =
     Approx_lane.solve ?stats ?budget ?pool ~den ~bounds ~width

@@ -84,7 +84,7 @@ let solve ?stats ?budget ?pool ~den ~bounds ~width ~max_rounds g =
          | Value_iter.Negative_cycle c -> lower_witness c
          | Value_iter.Inconclusive -> (
            (* truncation hit: settle this test with the exact engine *)
-           match Bellman_ford.run_arr ~costs g with
+           match Bellman_ford.run (Bellman_ford.Int costs) g with
            | Bellman_ford.Feasible _ -> lo := mid
            | Bellman_ford.Negative_cycle c -> lower_witness c)
        end

@@ -6,7 +6,7 @@
     the integers [q·w(a) − p·den(a)] and asking for a negative cycle —
     first with the truncated value iteration ({!Value_iter}), then,
     if that is inconclusive, with the exact FIFO engine
-    ({!Bellman_ford.run_arr}).  Because every test is exact integer
+    ({!Bellman_ford.run} over [Int] costs).  Because every test is exact integer
     arithmetic, both certificate sides are sound:
 
     - [lo] is a grid value proven to have no cycle below it, so

@@ -17,7 +17,7 @@
 
     If neither certificate appears within [max_rounds] rounds the test
     is {!Inconclusive} and the caller settles it with the exact FIFO
-    engine ({!Bellman_ford.run_arr}).  On low-diameter graphs the
+    engine ({!Bellman_ford.run} over [Int] costs).  On low-diameter graphs the
     fixpoint arrives in ~diameter rounds, which is where the lane wins.
 
     Rounds are data-parallel over the in-CSR ({!Digraph.Unsafe.in_csr}):

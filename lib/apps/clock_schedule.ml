@@ -46,10 +46,10 @@ let min_period ?(algorithm = Registry.Howard) t =
 let schedule t ~period =
   let g = to_graph t in
   let p = Ratio.num period and q = Ratio.den period in
-  let cost a = p - (q * Digraph.weight g a) in
-  match Bellman_ford.potentials ~cost g with
-  | None -> None
-  | Some pot -> Some (Array.map (fun x -> Ratio.make (-x) q) pot)
+  let costs = Array.init (Digraph.m g) (fun a -> p - (q * Digraph.weight g a)) in
+  match Bellman_ford.run (Bellman_ford.Int costs) g with
+  | Bellman_ford.Negative_cycle _ -> None
+  | Bellman_ford.Feasible pot -> Some (Array.map (fun x -> Ratio.make (-x) q) pot)
 
 let verify_schedule t ~period x =
   if Array.length x <> latch_count t then false

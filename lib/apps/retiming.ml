@@ -154,7 +154,11 @@ let feasible_retiming t (w, d) c =
     done
   done;
   let cg = Digraph.build b in
-  Bellman_ford.potentials ~cost:(Digraph.weight cg) cg
+  match
+    Bellman_ford.run (Bellman_ford.Int (Array.init (Digraph.m cg) (Digraph.weight cg))) cg
+  with
+  | Bellman_ford.Feasible d -> Some d
+  | Bellman_ford.Negative_cycle _ -> None
 
 let min_period t =
   (* validates the absence of combinational loops *)

@@ -234,7 +234,7 @@ let apply_winners s ~n ~chunks st =
    swept. *)
 
 let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
-    ?pool ?sweep_min_arcs ~ratio ~epsilon g =
+    ?pool ?sweep_min_arcs ~problem ~epsilon g =
   if Digraph.m g = 0 then invalid_arg "Howard: graph has no arcs";
   let tr = !Obs.enabled_flag in
   if tr then Trace.begin_span sp_solve;
@@ -246,8 +246,12 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
   let srcs = Digraph.Unsafe.srcs g
   and dsts = Digraph.Unsafe.dsts g
   and wf = Digraph.Unsafe.weights_float g in
-  let denf = if ratio then Digraph.Unsafe.transits_float g else ensure_ones s m in
-  let den = if ratio then Digraph.transit g else fun _ -> 1 in
+  let denf =
+    match problem with
+    | Critical.Cycle_ratio -> Digraph.Unsafe.transits_float g
+    | Critical.Cycle_mean -> ensure_ones s m
+  in
+  let den = Critical.den problem g in
   (* chunk count for the improvement sweep, by the arcs-per-chunk cost
      model above: 1 (the serial path) without a multi-worker pool or
      on a sweep too small to amortize the fan-out *)
@@ -539,7 +543,7 @@ let minimum_cycle_mean ?stats ?budget ?(epsilon = 1e-9) ?init ?scratch ?pool
     ?sweep_min_arcs g =
   let lambda, cycle, _ =
     solve ?stats ?budget ?init ?scratch ?pool ?sweep_min_arcs
-      ~ratio:false ~epsilon g
+      ~problem:Critical.Cycle_mean ~epsilon g
   in
   (lambda, cycle)
 
@@ -548,17 +552,17 @@ let minimum_cycle_ratio ?stats ?budget ?(epsilon = 1e-9) ?init ?scratch ?pool
   Critical.assert_ratio_well_posed g;
   let lambda, cycle, _ =
     solve ?stats ?budget ?init ?scratch ?pool ?sweep_min_arcs
-      ~ratio:true ~epsilon g
+      ~problem:Critical.Cycle_ratio ~epsilon g
   in
   (lambda, cycle)
 
 let minimum_cycle_mean_warm ?stats ?(epsilon = 1e-9) ?policy ?potentials
     ?scratch ?pool ?sweep_min_arcs g =
   solve ?stats ?policy ?potentials ?scratch ?pool ?sweep_min_arcs
-    ~ratio:false ~epsilon g
+    ~problem:Critical.Cycle_mean ~epsilon g
 
 let minimum_cycle_ratio_warm ?stats ?(epsilon = 1e-9) ?policy ?potentials
     ?scratch ?pool ?sweep_min_arcs g =
   Critical.assert_ratio_well_posed g;
   solve ?stats ?policy ?potentials ?scratch ?pool ?sweep_min_arcs
-    ~ratio:true ~epsilon g
+    ~problem:Critical.Cycle_ratio ~epsilon g

@@ -4,7 +4,7 @@
 
 type t = Warm.t
 
-let create ?(problem = Warm.Mean) ?pool g =
+let create ?(problem = Critical.Cycle_mean) ?pool g =
   if Digraph.m g = 0 then invalid_arg "Incremental.create: graph has no arcs";
   Warm.create ~problem ?pool g
 

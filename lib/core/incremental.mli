@@ -22,10 +22,10 @@
 
 type t
 
-val create : ?problem:Warm.problem -> ?pool:Executor.t -> Digraph.t -> t
+val create : ?problem:Critical.problem -> ?pool:Executor.t -> Digraph.t -> t
 (** The graph must be strongly connected with at least one arc (as for
     the raw algorithms; use {!Solver} + fresh solves, or [Dyn],
-    otherwise).  [problem] defaults to [Warm.Mean]; pass [Warm.Ratio]
+    otherwise).  [problem] defaults to [Cycle_mean]; pass [Cycle_ratio]
     for cost-to-time ratio queries.  [pool] chunks each re-solve's
     improvement sweep across the executor's workers (caller-owned;
     answers are bit-identical with or without it). *)
@@ -39,11 +39,11 @@ val set_weight : t -> int -> int -> unit
 
 val set_transit : t -> int -> int -> unit
 (** [set_transit t arc tt] changes one arc transit time (only
-    meaningful for [Warm.Ratio] sessions; legal on any).
+    meaningful for [Cycle_ratio] sessions; legal on any).
     @raise Invalid_argument on a bad arc id or negative transit. *)
 
 val solve : ?stats:Stats.t -> t -> Ratio.t * int list
 (** Exact optimum of the current graph, warm-started from the previous
     solution when one exists.
-    @raise Invalid_argument for [Warm.Ratio] sessions whose current
+    @raise Invalid_argument for [Cycle_ratio] sessions whose current
     graph has a cycle with zero total transit time. *)

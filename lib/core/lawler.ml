@@ -1,11 +1,8 @@
-let any_cycle g =
-  match Critical.cycle_in g (fun _ -> true) with
-  | Some c -> c
-  | None -> invalid_arg "Lawler: input graph is acyclic"
-
-let solve ?stats ~den ~lo ~hi ~epsilon ~exact_finish ~improved g =
+let solve ?stats ~problem ~epsilon ~exact_finish ~improved g =
   if Digraph.m g = 0 then invalid_arg "Lawler: graph has no arcs";
-  let lo = ref lo and hi = ref hi in
+  let den = Critical.den problem g in
+  let lo, hi = Critical.lambda_bounds problem g in
+  let lo = ref (float_of_int lo) and hi = ref (float_of_int hi) in
   let candidate = ref None in
   let on_relax =
     Option.map (fun s () -> s.Stats.relaxations <- s.Stats.relaxations + 1) stats
@@ -17,11 +14,9 @@ let solve ?stats ~den ~lo ~hi ~epsilon ~exact_finish ~improved g =
       s.Stats.oracle_calls <- s.Stats.oracle_calls + 1
     | None -> ());
     let mid = 0.5 *. (!lo +. !hi) in
-    let cost a =
-      float_of_int (Digraph.weight g a) -. (mid *. float_of_int (den a))
-    in
-    match Bellman_ford.run_float ?on_relax ~cost g with
-    | Error cycle ->
+    let costs = Critical.real_costs problem g mid in
+    match Bellman_ford.run ?on_relax (Bellman_ford.Float costs) g with
+    | Bellman_ford.Negative_cycle cycle ->
       (* a cycle with ratio < mid exists: λ* < mid.  The improved
          variant uses the witness itself as the new upper bound — the
          cycle's exact ratio is at most mid but usually far below it,
@@ -31,28 +26,20 @@ let solve ?stats ~den ~lo ~hi ~epsilon ~exact_finish ~improved g =
         if improved then
           Float.min mid (Ratio.to_float (Critical.ratio_of_cycle g ~den cycle))
         else mid
-    | Ok _ ->
+    | Bellman_ford.Feasible _ ->
       (* no negative cycle: λ* >= mid *)
       lo := mid
   done;
-  let cycle = match !candidate with Some c -> c | None -> any_cycle g in
+  let cycle =
+    match !candidate with
+    | Some c -> c
+    | None -> Critical.any_cycle ~who:"Lawler" g
+  in
   if exact_finish then Critical.improve_to_optimal ?stats ~den g cycle
   else (Critical.ratio_of_cycle g ~den cycle, cycle)
 
-let bounds_mean g =
-  (float_of_int (Digraph.min_weight g), float_of_int (Digraph.max_weight g))
-
-let bounds_ratio g =
-  (* with t(C) >= 1 every cycle ratio lies within ±n·max|w| *)
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-  in
-  let b = float_of_int ((Digraph.n g * maxabs) + 1) in
-  (-.b, b)
-
 let minimum_cycle_mean ?stats ?epsilon ?(exact_finish = true)
     ?(improved = false) g =
-  let lo, hi = bounds_mean g in
   let epsilon =
     match epsilon with
     | Some e -> e
@@ -62,12 +49,11 @@ let minimum_cycle_mean ?stats ?epsilon ?(exact_finish = true)
       let n = float_of_int (max 2 (Digraph.n g)) in
       1.0 /. (2.0 *. n *. n)
   in
-  solve ?stats ~den:(fun _ -> 1) ~lo ~hi ~epsilon ~exact_finish ~improved g
+  solve ?stats ~problem:Critical.Cycle_mean ~epsilon ~exact_finish ~improved g
 
 let minimum_cycle_ratio ?stats ?epsilon ?(exact_finish = true)
     ?(improved = false) g =
   Critical.assert_ratio_well_posed g;
-  let lo, hi = bounds_ratio g in
   let epsilon =
     match epsilon with
     | Some e -> e
@@ -75,5 +61,4 @@ let minimum_cycle_ratio ?stats ?epsilon ?(exact_finish = true)
       let t = float_of_int (max 2 (Digraph.total_transit g)) in
       1.0 /. (2.0 *. t *. t)
   in
-  solve ?stats ~den:(Digraph.transit g) ~lo ~hi ~epsilon ~exact_finish
-    ~improved g
+  solve ?stats ~problem:Critical.Cycle_ratio ~epsilon ~exact_finish ~improved g

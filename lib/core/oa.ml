@@ -1,19 +1,15 @@
-let any_cycle g =
-  match Critical.cycle_in g (fun _ -> true) with
-  | Some c -> c
-  | None -> invalid_arg "Oa: input graph is acyclic"
-
 (* Scaling search: bisection over λ in which node prices survive from
    phase to phase.  At each probe λ=mid we first look for a cycle in
    the admissible graph (arcs whose reduced cost under the prices is
    non-positive) — a sound "λ* <= mid" certificate obtained in O(m) —
    and only run the full Bellman-Ford oracle when the quick test is
    inconclusive. *)
-let solve ?stats ~den ~lo ~hi ~epsilon g =
+let solve ?stats ~problem ~epsilon g =
   if Digraph.m g = 0 then invalid_arg "Oa: graph has no arcs";
   let n = Digraph.n g in
   let prices = Array.make n 0.0 in
-  let lo = ref lo and hi = ref hi in
+  let lo, hi = Critical.lambda_bounds problem g in
+  let lo = ref (float_of_int lo) and hi = ref (float_of_int hi) in
   let candidate = ref None in
   let on_relax =
     Option.map (fun s () -> s.Stats.relaxations <- s.Stats.relaxations + 1) stats
@@ -23,13 +19,10 @@ let solve ?stats ~den ~lo ~hi ~epsilon g =
     | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
     | None -> ());
     let mid = 0.5 *. (!lo +. !hi) in
-    let reduced a =
-      float_of_int (Digraph.weight g a)
-      -. (mid *. float_of_int (den a))
-      +. prices.(Digraph.src g a)
-      -. prices.(Digraph.dst g a)
+    let costs = Critical.real_costs problem g mid in
+    let admissible a =
+      costs.(a) +. prices.(Digraph.src g a) -. prices.(Digraph.dst g a) <= 0.0
     in
-    let admissible a = reduced a <= 0.0 in
     (match Critical.cycle_in g admissible with
     | Some cycle ->
       (* all reduced costs on the cycle are <= 0 and prices telescope,
@@ -40,53 +33,40 @@ let solve ?stats ~den ~lo ~hi ~epsilon g =
       (match stats with
       | Some s -> s.Stats.oracle_calls <- s.Stats.oracle_calls + 1
       | None -> ());
-      let cost a =
-        float_of_int (Digraph.weight g a) -. (mid *. float_of_int (den a))
-      in
-      (match Bellman_ford.run_float ?on_relax ~cost g with
-      | Error cycle ->
+      (match Bellman_ford.run ?on_relax (Bellman_ford.Float costs) g with
+      | Bellman_ford.Negative_cycle cycle ->
         candidate := Some cycle;
         hi := mid
-      | Ok pot ->
+      | Bellman_ford.Feasible pot ->
         (* refresh the prices with the feasible potentials *)
         Array.blit pot 0 prices 0 n;
         lo := mid))
   done;
-  match !candidate with Some c -> c | None -> any_cycle g
+  match !candidate with
+  | Some c -> c
+  | None -> Critical.any_cycle ~who:"Oa" g
 
 let default_epsilon g =
   let n = float_of_int (max 2 (Digraph.n g)) in
   1.0 /. (2.0 *. n *. n)
 
-let bounds_mean g =
-  (float_of_int (Digraph.min_weight g), float_of_int (Digraph.max_weight g))
-
-let bounds_ratio g =
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-  in
-  let b = float_of_int ((Digraph.n g * maxabs) + 1) in
-  (-.b, b)
-
-let run ?stats ~den ~bounds ~exact ?epsilon g =
+let run ?stats ~problem ~exact ?epsilon g =
   let epsilon = match epsilon with Some e -> e | None -> default_epsilon g in
-  let lo, hi = bounds g in
-  let cycle = solve ?stats ~den ~lo ~hi ~epsilon g in
+  let den = Critical.den problem g in
+  let cycle = solve ?stats ~problem ~epsilon g in
   if exact then Critical.improve_to_optimal ?stats ~den g cycle
   else (Critical.ratio_of_cycle g ~den cycle, cycle)
 
-let mean_den _ = 1
-
 let oa1_minimum_cycle_mean ?stats ?epsilon g =
-  run ?stats ~den:mean_den ~bounds:bounds_mean ~exact:false ?epsilon g
+  run ?stats ~problem:Critical.Cycle_mean ~exact:false ?epsilon g
 
 let oa2_minimum_cycle_mean ?stats ?epsilon g =
-  run ?stats ~den:mean_den ~bounds:bounds_mean ~exact:true ?epsilon g
+  run ?stats ~problem:Critical.Cycle_mean ~exact:true ?epsilon g
 
 let oa1_minimum_cycle_ratio ?stats ?epsilon g =
   Critical.assert_ratio_well_posed g;
-  run ?stats ~den:(Digraph.transit g) ~bounds:bounds_ratio ~exact:false ?epsilon g
+  run ?stats ~problem:Critical.Cycle_ratio ~exact:false ?epsilon g
 
 let oa2_minimum_cycle_ratio ?stats ?epsilon g =
   Critical.assert_ratio_well_posed g;
-  run ?stats ~den:(Digraph.transit g) ~bounds:bounds_ratio ~exact:true ?epsilon g
+  run ?stats ~problem:Critical.Cycle_ratio ~exact:true ?epsilon g

@@ -1,6 +1,6 @@
 type objective = Minimize | Maximize
 
-type problem = Cycle_mean | Cycle_ratio
+type problem = Critical.problem = Cycle_mean | Cycle_ratio
 
 type report = {
   lambda : Ratio.t;

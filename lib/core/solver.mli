@@ -8,7 +8,7 @@
 
 type objective = Minimize | Maximize
 
-type problem =
+type problem = Critical.problem =
   | Cycle_mean  (** optimize [w(C)/|C|] *)
   | Cycle_ratio  (** optimize [w(C)/t(C)] — the cost-to-time ratio *)
 

@@ -13,7 +13,9 @@ type t = {
   mutable cycles_examined : int;
       (** cycles whose mean/ratio was evaluated *)
   mutable oracle_calls : int;
-      (** negative-cycle tests (Lawler, OA) *)
+      (** negative-cycle tests: Lawler's and OA's float probes and
+          every exact {!Critical.locate} (Stern–Brocot, the exact
+          finisher, warm hints) *)
   mutable level : int;
       (** Karp-recurrence level reached at termination — the HO
           "number of iterations" of §4.3 (equals [n] for plain Karp) *)

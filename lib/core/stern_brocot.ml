@@ -31,13 +31,11 @@ let tick stats budget =
   | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
   | None -> ()
 
-let search ?stats ?budget ~den ~lower_int ~dmax g =
-  let c0 =
-    match Critical.cycle_in g (fun _ -> true) with
-    | Some c -> c
-    | None -> invalid_arg "Stern_brocot: input graph is acyclic"
-  in
+let search ?stats ?budget ~problem ~dmax g =
+  let den = Critical.den problem g in
+  let c0 = Critical.any_cycle ~who:"Stern_brocot" g in
   let hi = ref (Critical.ratio_of_cycle g ~den c0) in
+  let lower_int = fst (Critical.lambda_bounds problem g) in
   (* L = la/lb < λ* (strict, from the a-priori bound), R = rc/rd ≥ λ*;
      1/0 is the tree's right sentinel and keeps (L, R) unimodular *)
   let la = ref (lower_int - 1) and lb = ref 1 in
@@ -98,9 +96,7 @@ let search ?stats ?budget ~den ~lower_int ~dmax g =
 let minimum_cycle_mean ?stats ?budget ?pool g =
   ignore pool;
   if Digraph.m g = 0 then invalid_arg "Stern_brocot: graph has no arcs";
-  search ?stats ?budget
-    ~den:(fun _ -> 1)
-    ~lower_int:(Digraph.min_weight g)
+  search ?stats ?budget ~problem:Critical.Cycle_mean
     ~dmax:(max 1 (Digraph.n g))
     g
 
@@ -108,12 +104,7 @@ let minimum_cycle_ratio ?stats ?budget ?pool g =
   ignore pool;
   if Digraph.m g = 0 then invalid_arg "Stern_brocot: graph has no arcs";
   Critical.assert_ratio_well_posed g;
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-  in
-  search ?stats ?budget
-    ~den:(Digraph.transit g)
-    ~lower_int:(-((Digraph.n g * maxabs) + 1))
+  search ?stats ?budget ~problem:Critical.Cycle_ratio
     ~dmax:(max 1 (Digraph.total_transit g))
     g
 

@@ -1,5 +1,3 @@
-type problem = Mean | Ratio
-
 let sp_locate = Obs.intern "warm.locate"
 let sp_howard = Obs.intern "warm.howard"
 
@@ -45,15 +43,10 @@ let solve_warm ?stats ?policy ?potentials ?scratch ?hint ?pool problem g =
   let fast =
     match hint, policy with
     | Some lambda, Some pol -> (
-      let den =
-        match problem with
-        | Mean -> fun _ -> 1
-        | Ratio ->
-          (* the Howard entry points check this; the fast path must
-             too, or an ill-posed instance would descend forever *)
-          Critical.assert_ratio_well_posed g;
-          Digraph.transit g
-      in
+      (* the Howard entry points check well-posedness; the fast path
+         must too, or an ill-posed instance would descend forever *)
+      if problem = Critical.Cycle_ratio then Critical.assert_ratio_well_posed g;
+      let den = Critical.den problem g in
       if tr then Trace.begin_span sp_locate;
       let located = Critical.locate ?stats ~den g lambda in
       if tr then Trace.end_span sp_locate;
@@ -71,10 +64,10 @@ let solve_warm ?stats ?policy ?potentials ?scratch ?hint ?pool problem g =
     if tr then Trace.begin_span sp_howard;
     let result =
       match problem with
-      | Mean ->
+      | Critical.Cycle_mean ->
         Howard.minimum_cycle_mean_warm ?stats ?policy ?potentials ?scratch
           ?pool g
-      | Ratio ->
+      | Critical.Cycle_ratio ->
         Howard.minimum_cycle_ratio_warm ?stats ?policy ?potentials ?scratch
           ?pool g
     in
@@ -82,7 +75,7 @@ let solve_warm ?stats ?policy ?potentials ?scratch ?hint ?pool problem g =
     result
 
 type t = {
-  problem : problem;
+  problem : Critical.problem;
   base : Digraph.t;
   weights : int array;  (* current labels, arc id -> value *)
   transits : int array;
@@ -95,7 +88,7 @@ type t = {
   pool : Executor.t option; (* chunks the improvement sweep when present *)
 }
 
-let create ?(problem = Mean) ?pool g =
+let create ?(problem = Critical.Cycle_mean) ?pool g =
   if Digraph.m g = 0 then invalid_arg "Warm.create: graph has no arcs";
   {
     problem;

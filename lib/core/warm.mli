@@ -15,8 +15,6 @@
     warm-started solve returns the {e same} optimum and the {e same}
     witness as a cold solve; only the iteration counts differ. *)
 
-type problem = Mean | Ratio
-
 val repair_policy : Digraph.t -> int array -> unit
 (** [repair_policy g policy] rewrites, in place, every entry of
     [policy] that is not a valid out-arc choice for its node — negative
@@ -30,7 +28,7 @@ val repair_policy : Digraph.t -> int array -> unit
 val solve_warm :
   ?stats:Stats.t -> ?policy:int array -> ?potentials:float array ->
   ?scratch:Howard.scratch -> ?hint:Ratio.t -> ?pool:Executor.t ->
-  problem -> Digraph.t -> Ratio.t * int list * int array
+  Critical.problem -> Digraph.t -> Ratio.t * int list * int array
 (** One warm re-solve on a strongly connected graph.  [policy] (if
     given) is repaired in place with {!repair_policy} and seeds the
     iteration; the returned array is the final policy, to be fed back
@@ -59,7 +57,7 @@ val solve_warm :
     the witness is derived by the location pass at the optimum, which
     depends only on the graph, never on the warm-start state.
     @raise Invalid_argument on graphs with a node lacking an out-arc,
-    or (for [Ratio]) with a zero-total-transit cycle. *)
+    or (for [Cycle_ratio]) with a zero-total-transit cycle. *)
 
 (** {1 Stateful convenience wrapper}
 
@@ -68,13 +66,13 @@ val solve_warm :
 
 type t
 
-val create : ?problem:problem -> ?pool:Executor.t -> Digraph.t -> t
+val create : ?problem:Critical.problem -> ?pool:Executor.t -> Digraph.t -> t
 (** The graph must be strongly connected with at least one arc.
-    [problem] defaults to [Mean].  [pool], if given, chunks the
+    [problem] defaults to [Cycle_mean].  [pool], if given, chunks the
     improvement sweep of every re-solve across the executor's workers;
     the caller keeps ownership (and shuts it down). *)
 
-val problem : t -> problem
+val problem : t -> Critical.problem
 
 val graph : t -> Digraph.t
 (** Current graph (reflects all label updates). *)

@@ -389,11 +389,6 @@ let assemble_policy t ci (p : part) =
   done;
   policy
 
-let warm_problem t =
-  match t.prob with
-  | Solver.Cycle_mean -> Warm.Mean
-  | Solver.Cycle_ratio -> Warm.Ratio
-
 let solve_part t ?pool ~scratch ci (p : part) =
   let policy = assemble_policy t ci p in
   let k = Array.length p.p_nodes in
@@ -412,7 +407,7 @@ let solve_part t ?pool ~scratch ci (p : part) =
      components get it *)
   let lambda, cyc, pol =
     Warm.solve_warm ~stats:st ~policy ~potentials:pot ~scratch ?hint
-      ?pool (warm_problem t) p.p_sub
+      ?pool t.prob p.p_sub
   in
   (lambda, List.map (fun i -> p.p_arcs.(i)) cyc, pol, pot, st)
 

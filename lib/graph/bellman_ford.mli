@@ -1,13 +1,20 @@
-(** Bellman–Ford shortest paths and negative-cycle detection.
+(** Bellman–Ford negative-cycle detection and feasible potentials.
 
-    Costs are supplied by a callback [cost : arc id -> int], so callers
-    can run the algorithm on reweighted graphs (e.g. [w(e)·q - p·t(e)]
-    when testing a candidate ratio [p/q]) without materializing them.
-    All arithmetic is on native ints; callers are responsible for
-    keeping scaled costs within range. *)
+    One FIFO engine serves both cost types.  Costs are materialized
+    arrays ([costs.(a)] is the cost of arc [a]), tagged by the GADT
+    {!costs}: [Int] for the exact integer probes (the re-costed
+    [q·w(a) − p·den(a)] of a candidate ratio [p/q], certificates,
+    retiming and clock schedules) and [Float] for the float bisections
+    of Lawler, OA and Burns, which test [w(a) − λ·den(a)] directly in
+    floating point as the original study did.  Integer arithmetic is
+    on native ints; callers keep scaled costs within range. *)
 
-type outcome =
-  | Feasible of int array
+type _ costs =
+  | Int : int array -> int costs
+  | Float : float array -> float costs
+
+type 'd outcome =
+  | Feasible of 'd array
       (** Feasible potentials [d]: [d.(dst) <= d.(src) + cost a] for
           every arc [a].  Computed from a virtual super-source, so all
           nodes participate even in disconnected graphs. *)
@@ -15,21 +22,16 @@ type outcome =
       (** Arc ids of a simple cycle of negative total cost, in path
           order. *)
 
-val run : ?on_relax:(unit -> unit) -> cost:(int -> int) -> Digraph.t -> outcome
-(** Standard Bellman–Ford with a FIFO queue and early exit.
-    [on_relax] is invoked on every successful arc relaxation (used for
-    the paper's operation counts). *)
-
-val run_arr :
-  ?on_relax:(unit -> unit) -> costs:int array -> Digraph.t -> outcome
-(** [run] with the arc costs already materialized ([costs.(a)] is the
-    cost of arc [a]); identical result, skips the per-arc callback in
-    the scan.  For callers on the exact-finisher hot path that hold
-    their costs in an array anyway.
-    @raise Invalid_argument if [costs] does not have one entry per arc. *)
-
-val negative_cycle : cost:(int -> int) -> Digraph.t -> int list option
-(** [Some cycle] iff the graph contains a negative-cost cycle. *)
+val run : ?on_relax:(unit -> unit) -> 'd costs -> Digraph.t -> 'd outcome
+(** FIFO Bellman–Ford from the all-zero virtual super-source (nodes
+    queued in order [0..n−1], arcs scanned in CSR order) with early
+    exit on the first negative cycle.  [on_relax] is invoked on every
+    successful arc relaxation (the paper's operation counts).  The
+    [Float] scan re-reads the popped node's distance for every arc, so
+    a negative self-loop takes effect within the scan; the [Int] scan
+    reads it once per pop.
+    @raise Invalid_argument if the cost array does not have one entry
+    per arc. *)
 
 val cycle_in_pred_graph : Digraph.t -> int array -> int list option
 (** Searches a predecessor graph ([pred_arc.(v)] is the arc last used
@@ -38,26 +40,3 @@ val cycle_in_pred_graph : Digraph.t -> int array -> int list option
     engine here, or the approx lane's synchronous value-iteration
     rounds — a cycle of the predecessor graph is a negative cycle
     (Cherkassky & Goldberg), so a hit is a sound certificate.  O(n). *)
-
-val potentials : cost:(int -> int) -> Digraph.t -> int array option
-(** [Some d] iff there is no negative cycle. *)
-
-val shortest_from :
-  cost:(int -> int) -> Digraph.t -> int -> (int array * int array, int list) result
-(** [shortest_from ~cost g s] returns [Ok (dist, pred_arc)] with
-    [max_int] distances for unreachable nodes and [-1] predecessor arcs,
-    or [Error cycle] if a negative cycle is reachable from [s]. *)
-
-(** {1 Float-cost variants}
-
-    Lawler's algorithm and the scaling algorithms bisect over real
-    [λ] values and test [w(e) - λ·t(e)] costs directly in floating
-    point (as the original study did); these entry points mirror the
-    integer ones. *)
-
-val run_float :
-  ?on_relax:(unit -> unit) -> cost:(int -> float) -> Digraph.t ->
-  (float array, int list) result
-(** [Ok potentials] or [Error cycle]. *)
-
-val negative_cycle_float : cost:(int -> float) -> Digraph.t -> int list option

@@ -6,7 +6,8 @@
      int_of_string_opt on every line, arcs pushed through a
      Digraph builder), one near-copy per format;
    - Tarjan's algorithm over a per-node successor copy with a
-     (node, cursor ref) frame per DFS step.
+     (node, cursor ref) frame per DFS step;
+   - the integer and the float Bellman–Ford engines (see below).
 
    [of_string]/[of_dimacs] take two optional hooks so a test can layer
    the arc-count rule on top: [on_problem lineno m] runs once the
@@ -188,3 +189,128 @@ let scc_components g =
     if index.(v) < 0 then start v
   done;
   (!comp_count, component)
+
+(* The two Bellman–Ford engines the single GADT-typed
+   [Bellman_ford.run] replaced, kept as oracles for its property test:
+   the integer FIFO engine over a ring queue (with the [sources]
+   parameter of its single-source mode) and the float engine over a
+   boxed [Queue] with a per-arc cost closure.  Verbatim apart from the
+   dropped trace spans.  [bf_engine] returns [Ok (dist, pred_arc)] or
+   [Error cycle]; [bf_engine_float] returns [Ok dist] or [Error cycle]. *)
+
+let bf_engine ?on_relax ~costs g ~sources =
+  let n = Digraph.n g in
+  let dist = Array.make n max_int in
+  let pred_arc = Array.make n (-1) in
+  let times_updated = Array.make n 0 in
+  let in_queue = Array.make n false in
+  (* FIFO over a preallocated ring: the [in_queue] guard keeps at most
+     n nodes queued, so capacity n+1 never wraps onto itself.  Same
+     relaxation order as the boxed Queue it replaces, none of the
+     per-enqueue allocation — this engine is the inner loop of the
+     exact finisher, hit once per candidate λ. *)
+  let ring = Array.make (n + 1) 0 in
+  let head = ref 0 and tail = ref 0 in
+  let enqueue v =
+    if not in_queue.(v) then begin
+      in_queue.(v) <- true;
+      ring.(!tail) <- v;
+      tail := if !tail = n then 0 else !tail + 1
+    end
+  in
+  (match sources with
+  | None ->
+    for v = 0 to n - 1 do
+      dist.(v) <- 0;
+      enqueue v
+    done
+  | Some vs ->
+    List.iter
+      (fun v ->
+        dist.(v) <- 0;
+        enqueue v)
+      vs);
+  (* The scan below walks the raw CSR Bigarrays rather than going
+     through [Digraph.iter_out]: this loop visits every out-arc of
+     every popped node, and the per-pop closure plus per-arc accessor
+     calls are measurable against the handful of loads it actually
+     needs.  All indices come from the graph's own CSR, so unsafe
+     reads are in bounds by construction. *)
+  let out_start, out_arcs = Digraph.Unsafe.out_csr g in
+  let arc_dst = Digraph.Unsafe.dsts g in
+  let found = ref None in
+  while !found = None && !head <> !tail do
+    let u = ring.(!head) in
+    head := (if !head = n then 0 else !head + 1);
+    in_queue.(u) <- false;
+    let du = dist.(u) in
+    if du < max_int then begin
+      let hi = Bigarray.Array1.unsafe_get out_start (u + 1) in
+      let i = ref (Bigarray.Array1.unsafe_get out_start u) in
+      while !found = None && !i < hi do
+        let a = Bigarray.Array1.unsafe_get out_arcs !i in
+        incr i;
+        let v = Bigarray.Array1.unsafe_get arc_dst a in
+        let cand = du + Array.unsafe_get costs a in
+        if cand < dist.(v) then begin
+          (match on_relax with Some f -> f () | None -> ());
+          dist.(v) <- cand;
+          pred_arc.(v) <- a;
+          times_updated.(v) <- times_updated.(v) + 1;
+          if times_updated.(v) > n then begin
+            times_updated.(v) <- 0;
+            match Bellman_ford.cycle_in_pred_graph g pred_arc with
+            | Some cycle -> found := Some cycle
+            | None -> enqueue v
+          end
+          else enqueue v
+        end
+      done
+    end
+  done;
+  match !found with
+  | Some cycle -> Error cycle
+  | None -> Ok (dist, pred_arc)
+
+let bf_engine_float ?on_relax ~cost g =
+  let n = Digraph.n g in
+  let dist = Array.make n 0.0 in
+  let pred_arc = Array.make n (-1) in
+  let times_updated = Array.make n 0 in
+  let in_queue = Array.make n true in
+  let queue = Queue.create () in
+  for v = 0 to n - 1 do
+    Queue.add v queue
+  done;
+  let found = ref None in
+  while !found = None && not (Queue.is_empty queue) do
+    let u = Queue.take queue in
+    in_queue.(u) <- false;
+    Digraph.iter_out g u (fun a ->
+        if !found = None then begin
+          let v = Digraph.dst g a in
+          let cand = dist.(u) +. cost a in
+          if cand < dist.(v) then begin
+            (match on_relax with Some f -> f () | None -> ());
+            dist.(v) <- cand;
+            pred_arc.(v) <- a;
+            times_updated.(v) <- times_updated.(v) + 1;
+            let enqueue () =
+              if not in_queue.(v) then begin
+                in_queue.(v) <- true;
+                Queue.add v queue
+              end
+            in
+            if times_updated.(v) > n then begin
+              times_updated.(v) <- 0;
+              match Bellman_ford.cycle_in_pred_graph g pred_arc with
+              | Some cycle -> found := Some cycle
+              | None -> enqueue ()
+            end
+            else enqueue ()
+          end
+        end)
+  done;
+  match !found with
+  | Some cycle -> Error cycle
+  | None -> Ok dist

@@ -1,8 +1,13 @@
-let w g = Digraph.weight g
+let costs g = Bellman_ford.Int (Array.init (Digraph.m g) (Digraph.weight g))
+
+let negative_cycle c g =
+  match Bellman_ford.run c g with
+  | Bellman_ford.Feasible _ -> None
+  | Bellman_ford.Negative_cycle c -> Some c
 
 let test_feasible () =
   let g = Digraph.of_weighted_arcs 3 [ (0, 1, 2); (1, 2, 3); (2, 0, -4) ] in
-  match Bellman_ford.run ~cost:(w g) g with
+  match Bellman_ford.run (costs g) g with
   | Bellman_ford.Negative_cycle _ -> Alcotest.fail "cycle weight is +1, not negative"
   | Bellman_ford.Feasible d ->
     Digraph.iter_arcs g (fun a ->
@@ -14,7 +19,7 @@ let test_negative_cycle () =
     Digraph.of_weighted_arcs 4
       [ (0, 1, 1); (1, 2, -2); (2, 1, -1); (2, 3, 5) ]
   in
-  match Bellman_ford.negative_cycle ~cost:(w g) g with
+  match negative_cycle (costs g) g with
   | None -> Alcotest.fail "cycle 1->2->1 has weight -3"
   | Some c ->
     Alcotest.(check bool) "is a cycle" true (Digraph.is_cycle g c);
@@ -22,7 +27,7 @@ let test_negative_cycle () =
 
 let test_negative_self_loop () =
   let g = Digraph.of_weighted_arcs 2 [ (0, 1, 3); (1, 1, -1) ] in
-  match Bellman_ford.negative_cycle ~cost:(w g) g with
+  match negative_cycle (costs g) g with
   | Some [ a ] ->
     Alcotest.(check int) "the self loop" 1 a
   | Some _ -> Alcotest.fail "expected a length-1 cycle"
@@ -31,34 +36,27 @@ let test_negative_self_loop () =
 let test_zero_cycle_not_negative () =
   let g = Digraph.of_weighted_arcs 2 [ (0, 1, 5); (1, 0, -5) ] in
   Alcotest.(check bool) "zero cycle is not negative" true
-    (Bellman_ford.negative_cycle ~cost:(w g) g = None)
+    (negative_cycle (costs g) g = None)
 
 let test_custom_cost () =
   (* recost so the cycle becomes negative *)
   let g = Digraph.of_weighted_arcs 2 [ (0, 1, 5); (1, 0, -5) ] in
-  let cost a = Digraph.weight g a - 1 in
+  let c = Bellman_ford.Int (Array.init 2 (fun a -> Digraph.weight g a - 1)) in
   Alcotest.(check bool) "shifted costs reveal a cycle" true
-    (Bellman_ford.negative_cycle ~cost g <> None)
+    (negative_cycle c g <> None)
 
-let test_shortest_from () =
-  let g =
-    Digraph.of_weighted_arcs 5
-      [ (0, 1, 4); (0, 2, 1); (2, 1, 1); (1, 3, 1); (2, 3, 5) ]
-  in
-  match Bellman_ford.shortest_from ~cost:(w g) g 0 with
-  | Error _ -> Alcotest.fail "no negative cycle here"
-  | Ok (dist, pred) ->
-    Alcotest.(check int) "d(1) via 2" 2 dist.(1);
-    Alcotest.(check int) "d(3)" 3 dist.(3);
-    Alcotest.(check int) "unreachable" max_int dist.(4);
-    Alcotest.(check int) "pred of 1 is arc 2->1" 2 pred.(1)
+let test_length_mismatch () =
+  let g = Digraph.of_weighted_arcs 2 [ (0, 1, 5); (1, 0, -5) ] in
+  Alcotest.check_raises "one cost per arc"
+    (Invalid_argument "Bellman_ford.run: costs length <> arc count")
+    (fun () -> ignore (Bellman_ford.run (Bellman_ford.Float [| 1.0 |]) g))
 
 let test_disconnected_potentials () =
   (* virtual-source form must cover disconnected graphs *)
   let g = Digraph.of_weighted_arcs 4 [ (0, 1, -7); (2, 3, -7) ] in
-  match Bellman_ford.potentials ~cost:(w g) g with
-  | None -> Alcotest.fail "acyclic graph has potentials"
-  | Some d ->
+  match Bellman_ford.run (costs g) g with
+  | Bellman_ford.Negative_cycle _ -> Alcotest.fail "acyclic graph has potentials"
+  | Bellman_ford.Feasible d ->
     Alcotest.(check bool) "both components constrained" true
       (d.(1) <= d.(0) - 7 && d.(3) <= d.(2) - 7)
 
@@ -66,20 +64,20 @@ let test_relax_counting () =
   (* negative costs force relaxations even from the all-zero virtual
      source start *)
   let g = Sprand.generate ~seed:2 ~n:30 ~m:90 () in
-  let cost a = Digraph.weight g a - 10001 in
+  let c = Bellman_ford.Int (Array.init 90 (fun a -> Digraph.weight g a - 10001)) in
   let count = ref 0 in
-  ignore (Bellman_ford.run ~on_relax:(fun () -> incr count) ~cost g);
+  ignore (Bellman_ford.run ~on_relax:(fun () -> incr count) c g);
   Alcotest.(check bool) "some relaxations happen" true (!count > 0)
 
 let test_float_variant () =
   let g = Digraph.of_weighted_arcs 3 [ (0, 1, 3); (1, 2, 3); (2, 0, 3) ] in
   (* mean is 3: negative iff lambda > 3 *)
-  let cost lambda a = float_of_int (Digraph.weight g a) -. lambda in
+  let cost lambda = Bellman_ford.Float (Critical.real_costs Critical.Cycle_mean g lambda) in
   Alcotest.(check bool) "no cycle below the mean" true
-    (Bellman_ford.negative_cycle_float ~cost:(cost 2.9) g = None);
-  (match Bellman_ford.negative_cycle_float ~cost:(cost 3.1) g with
+    (negative_cycle (cost 2.9) g = None);
+  match negative_cycle (cost 3.1) g with
   | Some c -> Alcotest.(check bool) "cycle found above the mean" true (Digraph.is_cycle g c)
-  | None -> Alcotest.fail "lambda=3.1 must reveal the cycle")
+  | None -> Alcotest.fail "lambda=3.1 must reveal the cycle"
 
 (* property: outcome matches the oracle's minimum cycle weight sign *)
 let qcheck_negative_cycle_iff =
@@ -92,24 +90,69 @@ let qcheck_negative_cycle_iff =
       ignore
         (Cycles.iter_cycles g (fun c ->
              if Digraph.cycle_weight g c < 0 then has_neg := true));
-      let found = Bellman_ford.negative_cycle ~cost:(w g) g in
-      (match found with
+      match negative_cycle (costs g) g with
       | Some c ->
         Digraph.is_cycle g c && Digraph.cycle_weight g c < 0 && !has_neg
-      | None -> not !has_neg))
+      | None -> not !has_neg)
 
 let qcheck_potentials_feasible =
   QCheck.Test.make ~name:"bellman-ford: returned potentials are feasible"
     ~count:300
     (Helpers.arb_any_graph ~max_n:8 ~max_m:16 ~wlo:0 ~whi:15 ())
     (fun g ->
-      match Bellman_ford.potentials ~cost:(w g) g with
-      | None -> false (* non-negative weights: no negative cycle *)
-      | Some d ->
+      match Bellman_ford.run (costs g) g with
+      | Bellman_ford.Negative_cycle _ -> false (* non-negative weights *)
+      | Bellman_ford.Feasible d ->
         Digraph.fold_arcs g
           (fun ok a ->
             ok && d.(Digraph.dst g a) <= d.(Digraph.src g a) + Digraph.weight g a)
           true)
+
+(* property: the one engine reproduces the two engines it replaced —
+   same verdict, same potentials, same cycle, same relaxation count —
+   for integer costs and for non-integer float G_λ costs *)
+let qcheck_matches_reference =
+  QCheck.Test.make ~name:"bellman-ford: run matches the reference engines"
+    ~count:500
+    (QCheck.pair
+       (Helpers.arb_any_graph ~max_n:9 ~max_m:24 ~wlo:(-10) ~whi:10 ~tmax:3 ())
+       (QCheck.float_range (-6.0) 6.0))
+    (fun (g, lambda) ->
+      let counted f =
+        let k = ref 0 in
+        let r = f (fun () -> incr k) in
+        (r, !k)
+      in
+      let ints = Array.init (Digraph.m g) (Digraph.weight g) in
+      let got_i, k_i =
+        counted (fun on_relax -> Bellman_ford.run ~on_relax (Bellman_ford.Int ints) g)
+      in
+      let ref_i, kr_i =
+        counted (fun on_relax ->
+            Reference.bf_engine ~on_relax ~costs:ints g ~sources:None)
+      in
+      let floats = Critical.real_costs Critical.Cycle_ratio g lambda in
+      let got_f, k_f =
+        counted (fun on_relax ->
+            Bellman_ford.run ~on_relax (Bellman_ford.Float floats) g)
+      in
+      let ref_f, kr_f =
+        counted (fun on_relax ->
+            Reference.bf_engine_float ~on_relax ~cost:(fun a -> floats.(a)) g)
+      in
+      let same_int =
+        match (got_i, ref_i) with
+        | Bellman_ford.Feasible d, Ok (d', _) -> d = d'
+        | Bellman_ford.Negative_cycle c, Error c' -> c = c'
+        | _ -> false
+      in
+      let same_float =
+        match (got_f, ref_f) with
+        | Bellman_ford.Feasible d, Ok d' -> d = d'
+        | Bellman_ford.Negative_cycle c, Error c' -> c = c'
+        | _ -> false
+      in
+      same_int && k_i = kr_i && same_float && k_f = kr_f)
 
 let suite =
   [
@@ -118,9 +161,10 @@ let suite =
     Alcotest.test_case "negative self loop" `Quick test_negative_self_loop;
     Alcotest.test_case "zero cycle not negative" `Quick test_zero_cycle_not_negative;
     Alcotest.test_case "custom cost callback" `Quick test_custom_cost;
-    Alcotest.test_case "single-source distances" `Quick test_shortest_from;
+    Alcotest.test_case "costs length checked" `Quick test_length_mismatch;
     Alcotest.test_case "disconnected potentials" `Quick test_disconnected_potentials;
     Alcotest.test_case "relaxation counter" `Quick test_relax_counting;
     Alcotest.test_case "float variant" `Quick test_float_variant;
   ]
-  @ Helpers.qtests [ qcheck_negative_cycle_iff; qcheck_potentials_feasible ]
+  @ Helpers.qtests
+      [ qcheck_negative_cycle_iff; qcheck_potentials_feasible; qcheck_matches_reference ]

@@ -196,7 +196,7 @@ let steady_allocation () =
 
 let incremental_ratio () =
   let g = Sprand.generate ~seed:7 ~n:30 ~m:90 ~transits:(1, 5) () in
-  let inc = Incremental.create ~problem:Warm.Ratio g in
+  let inc = Incremental.create ~problem:Critical.Cycle_ratio g in
   let rng = Rng.create 11 in
   for _ = 1 to 25 do
     let a = Rng.int rng (Digraph.m g) in
