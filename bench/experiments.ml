@@ -1734,14 +1734,56 @@ let e19 _cfg =
 
 (* ------------------------------------------------------------------ *)
 (* E20: the layers around the kernel — Graph_io.load on both formats, *)
-(* Scc.compute and Scc.partition — against the implementations they   *)
-(* replaced (the line-splitting parsers, the Vec-based Tarjan and the  *)
-(* copying partition), on SPRAND (one SCC: the shared-graph partition) *)
-(* and many_scc (the copying path).  identical = the loaded graph      *)
-(* round-trips to the file's bytes and equals the reference parse, the *)
-(* component ids equal the reference Tarjan's, every subproblem equals *)
-(* Digraph.induced.  --bench-json FILE writes BENCH_pr17.json's shape. *)
+(* Scc.compute, Scc.partition and the fingerprint — against the        *)
+(* implementations they replaced (the line-splitting parsers, the      *)
+(* Vec-based Tarjan, the copying partition and the chained hash), on   *)
+(* SPRAND (one SCC: the shared-graph partition) and many_scc (the      *)
+(* copying path).  identical = the loaded graph round-trips to the     *)
+(* file's bytes and equals the reference parse, the component ids      *)
+(* equal the reference Tarjan's, every subproblem equals               *)
+(* Digraph.induced, equal structures fingerprint equal, and a session's *)
+(* fingerprint equals its snapshot's through a scripted edit sequence. *)
+(* --bench-json FILE writes BENCH_pr23.json's shape.                   *)
 (* ------------------------------------------------------------------ *)
+
+(* Per-call milliseconds of [f], run [batch] times per sample. *)
+let time_batch_ms ~batch f =
+  Timing.time_ms ~reps:5 (fun () ->
+      for i = 1 to batch do
+        f i
+      done)
+  /. float_of_int batch
+
+(* [Dyn.fingerprint s = Fingerprint.of_graph (Dyn.graph s)] after every
+   step of a fixed script of all four update kinds, re-partitioning
+   (as a query would) every fourth step. *)
+let dyn_contract_holds g =
+  let s = Dyn.create ~objective:Solver.Maximize g in
+  let n = Digraph.n g and m = Digraph.m g in
+  let rng = Rng.create 23 in
+  let added = ref [] in
+  let holds = ref true in
+  for step = 1 to 24 do
+    let a = Rng.int rng m in
+    (match (step mod 6, !added) with
+    | 0, _ ->
+      let src = Rng.int rng n in
+      added :=
+        Dyn.add_arc s ~src ~dst:(Rng.int rng n)
+          ~weight:(Rng.in_range rng 1 100) ~transit:1
+        :: !added
+    | 1, b :: rest ->
+      Dyn.remove_arc s b;
+      added := rest
+    | (2 | 4), _ -> Dyn.set_transit s a (Rng.in_range rng 1 5)
+    | _ -> Dyn.set_weight s a (Rng.in_range rng 1 100));
+    if step mod 4 = 0 then ignore (Dyn.of_graph_arc s 0);
+    holds :=
+      !holds
+      && Fingerprint.equal (Dyn.fingerprint s)
+           (Fingerprint.of_graph (Dyn.graph s))
+  done;
+  !holds
 
 let e20 _cfg =
   let dir = Filename.temp_file "ocr_e20_" "" in
@@ -1805,7 +1847,37 @@ let e20 _cfg =
     row ~workload:"scc_partition" ~family g
       ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Scc.partition g scc)))
       ~reference_ms:(Timing.time_ms ~reps:5 (fun () -> ignore (copy ())))
-      ~identical
+      ~identical;
+    (* the per-arc sum against the chained hash it replaced *)
+    let rebuilt = Graph_io.of_string (Graph_io.to_string g) in
+    row ~workload:"fingerprint" ~family g
+      ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Fingerprint.of_graph g)))
+      ~reference_ms:
+        (Timing.time_ms ~reps:5 (fun () -> ignore (Reference.fingerprint g)))
+      ~identical:
+        (Fingerprint.equal (Fingerprint.of_graph g)
+           (Fingerprint.of_graph rebuilt));
+    (* a maximize session's label edit + fingerprint: the running sum
+       against the old path, which negated the materialized (min-form)
+       graph back to user weights and re-hashed every arc *)
+    let m = Digraph.m g in
+    let edit i = (i * 7919 mod m, 1 + (i mod 100)) in
+    let s = Dyn.create ~objective:Solver.Maximize g in
+    ignore (Dyn.of_graph_arc s 0);
+    ignore (Dyn.fingerprint s);
+    let mat = Digraph.negate_weights g in
+    row ~workload:"dyn_fingerprint" ~family g
+      ~ms:
+        (time_batch_ms ~batch:64 (fun i ->
+             let a, w = edit i in
+             Dyn.set_weight s a w;
+             ignore (Dyn.fingerprint s)))
+      ~reference_ms:
+        (time_batch_ms ~batch:4 (fun i ->
+             let a, w = edit i in
+             Digraph.Unsafe.set_weight mat a (-w);
+             ignore (Reference.fingerprint (Digraph.negate_weights mat))))
+      ~identical:(dyn_contract_holds g)
   in
   List.iter measure
     [
@@ -1817,9 +1889,10 @@ let e20 _cfg =
   let rows = List.rev !rows in
   Tables.print
     ~title:
-      "E20: loader and SCC layers vs the implementations they replaced \
-       (reference = line-splitting parsers, Vec-based Tarjan, copying \
-       partition)"
+      "E20: loader, SCC and fingerprint layers vs the implementations \
+       they replaced (reference = line-splitting parsers, Vec-based \
+       Tarjan, copying partition, chained hash; dyn_fingerprint = \
+       set_weight + fingerprint on a maximize session)"
     ~header:
       [ "workload"; "family"; "n"; "m"; "ms"; "reference ms"; "speedup";
         "identical" ]

@@ -41,7 +41,6 @@ type t = {
   alive : bool Vec.t;
   mutable live : int;
   mutable ep : int;
-  jnl : update Vec.t;
   (* preflight bookkeeping, maintained incrementally *)
   mutable total_tt : int;     (* sum of live transits *)
   mutable wabs : int;         (* max |weight| over live arcs ... *)
@@ -62,8 +61,10 @@ type t = {
   last_policy : int array; (* node -> last chosen out-arc (session id) *)
   last_pot : float array;  (* node -> last Howard distance (potential) *)
   scratch : Howard.scratch;
-  (* per-epoch caches *)
-  mutable fp_cache : (int * Fingerprint.t) option;
+  (* fingerprint lane sums over the live arcs at their materialized
+     ids, with user-form weights; valid with the materialization *)
+  mutable fp_sum : Fingerprint.sum;
+  (* per-epoch answer cache *)
   mutable last_report : (int * report option) option;
 }
 
@@ -105,7 +106,6 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     alive;
     live = m;
     ep = 0;
-    jnl = Vec.create ();
     total_tt = !total_tt;
     wabs = !wabs;
     wabs_stale = false;
@@ -121,7 +121,7 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     last_policy = Array.make (Digraph.n g) (-1);
     last_pot = Array.make (Digraph.n g) 0.0;
     scratch = Howard.create_scratch ();
-    fp_cache = None;
+    fp_sum = Fingerprint.zero ();
     last_report = None;
   }
 
@@ -139,7 +139,6 @@ let live_arcs t = t.live
 let problem t = t.prob
 let objective t = t.obj
 let epoch t = t.ep
-let journal t = Vec.to_list t.jnl
 
 let arc_count t = Vec.length t.srcs
 
@@ -163,20 +162,21 @@ let rebuild_mat t =
   let mos = Array.make (max count 1) (-1) in
   let som = Array.make (max t.live 1) (-1) in
   let sg = sign t in
+  let sum = Fingerprint.zero () in
   for a = 0 to count - 1 do
     if Vec.get t.alive a then begin
-      let id =
-        Digraph.add_arc b ~src:(Vec.get t.srcs a) ~dst:(Vec.get t.dsts a)
-          ~weight:(sg * Vec.get t.weights a)
-          ~transit:(Vec.get t.transits a) ()
-      in
+      let src = Vec.get t.srcs a and dst = Vec.get t.dsts a in
+      let weight = Vec.get t.weights a and transit = Vec.get t.transits a in
+      let id = Digraph.add_arc b ~src ~dst ~weight:(sg * weight) ~transit () in
+      Fingerprint.add sum ~arc:id ~src ~dst ~weight ~transit;
       mos.(a) <- id;
       som.(id) <- a
     end
   done;
   t.mat <- Digraph.build b;
   t.mat_of_session <- mos;
-  t.session_of_mat <- som
+  t.session_of_mat <- som;
+  t.fp_sum <- sum
 
 (* Full lazy re-partition after structural updates.  Components whose
    node set and (session-id) arc set are unchanged inherit their cached
@@ -240,9 +240,16 @@ let refresh t = if not t.struct_valid then rebuild_parts t
 (* Updates                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let bump t u =
-  Vec.push t.jnl u;
-  t.ep <- t.ep + 1
+let bump t = t.ep <- t.ep + 1
+
+(* Applies [Fingerprint.add] or [sub] to live arc [a]'s term at its
+   materialized id.  While the materialization is invalid there is no
+   sum to keep: [rebuild_mat] recomputes it. *)
+let fp_term t a f =
+  if t.struct_valid then
+    f t.fp_sum ~arc:t.mat_of_session.(a) ~src:(Vec.get t.srcs a)
+      ~dst:(Vec.get t.dsts a) ~weight:(Vec.get t.weights a)
+      ~transit:(Vec.get t.transits a)
 
 (* Dirty the cyclic component containing live arc [a], updating the
    materialized copies of its label in place.  O(1).  When one
@@ -271,8 +278,10 @@ let touch_label t a ~dirties =
 let set_weight t a w =
   check_arc "set_weight" t a;
   let old = Vec.get t.weights a in
+  fp_term t a Fingerprint.sub;
   Vec.set t.weights a w;
-  bump t (Set_weight { arc = a; weight = w });
+  fp_term t a Fingerprint.add;
+  bump t;
   if abs w >= t.wabs then begin
     t.wabs <- abs w;
     t.wabs_stale <- false
@@ -284,8 +293,10 @@ let set_transit t a tt =
   check_arc "set_transit" t a;
   if tt < 0 then invalid_arg "Dyn.set_transit: negative transit time";
   let old = Vec.get t.transits a in
+  fp_term t a Fingerprint.sub;
   Vec.set t.transits a tt;
-  bump t (Set_transit { arc = a; transit = tt });
+  fp_term t a Fingerprint.add;
+  bump t;
   t.total_tt <- t.total_tt - old + tt;
   if (old = 0) <> (tt = 0) then t.ratio_ok <- None;
   (* transit times only affect answers for ratio sessions *)
@@ -311,7 +322,7 @@ let add_arc t ~src ~dst ~weight ~transit =
   end;
   t.ratio_ok <- None;
   t.struct_valid <- false;
-  bump t (Add_arc { arc = id; src; dst; weight; transit });
+  bump t;
   id
 
 let remove_arc t a =
@@ -322,7 +333,7 @@ let remove_arc t a =
   if abs (Vec.get t.weights a) >= t.wabs then t.wabs_stale <- true;
   t.ratio_ok <- None;
   t.struct_valid <- false;
-  bump t (Remove_arc { arc = a })
+  bump t
 
 let apply t u =
   match u with
@@ -491,19 +502,11 @@ let of_graph_arc t ma =
     invalid_arg "Dyn.of_graph_arc: arc out of range";
   t.session_of_mat.(ma)
 
+(* O(1) after label edits: the sums follow every edit.  After a
+   structural update it re-partitions, as the query it keys would. *)
 let fingerprint t =
-  match t.fp_cache with
-  | Some (e, fp) when e = t.ep -> fp
-  | _ ->
-    refresh t;
-    let user_mat =
-      match t.obj with
-      | Solver.Minimize -> t.mat
-      | Solver.Maximize -> Digraph.negate_weights t.mat
-    in
-    let fp = Fingerprint.of_graph user_mat in
-    t.fp_cache <- Some (t.ep, fp);
-    fp
+  refresh t;
+  Fingerprint.finish t.fp_sum ~n:t.nn ~m:t.live
 
 let replay ?problem ?objective ?jobs ?pool g updates =
   let t = create ?problem ?objective ?jobs ?pool g in

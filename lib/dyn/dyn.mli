@@ -10,7 +10,8 @@
 
     - an {b epoch} counter (one tick per update) identifying graph
       versions;
-    - an {b update journal} for deterministic replay;
+    - the graph's {b fingerprint}, as a running sum of per-arc terms:
+      a label update adjusts it in O(1);
     - the {b SCC partition}, incrementally: label updates dirty only
       the containing cyclic component (cross-component arcs dirty
       nothing), while structural updates — which may merge or split
@@ -53,10 +54,13 @@ val close : t -> unit
 
     Session arc ids are stable: the arcs of the base graph keep their
     ids, [add_arc] returns fresh ids in sequence, and removed ids are
-    never reused.  Every successful update appends to the journal and
-    advances the epoch by one; failed updates (out-of-range ids,
-    removed arcs, negative transits) raise [Invalid_argument] and leave
-    the session — epoch, journal and answers — untouched. *)
+    never reused.  Every successful update advances the epoch by one;
+    failed updates (out-of-range ids, removed arcs, negative transits)
+    raise [Invalid_argument] and leave the session — epoch and
+    answers — untouched.  The session keeps no history of updates: a
+    caller that wants to replay one records the {!update} values it
+    applies (as [ocr stream --journal] does) and hands them to
+    {!replay}. *)
 
 val set_weight : t -> int -> int -> unit
 val set_transit : t -> int -> int -> unit
@@ -122,10 +126,16 @@ val of_graph_arc : t -> int -> int
 
 val fingerprint : t -> Fingerprint.t
 (** Structural fingerprint of the current graph — equal to
-    [Fingerprint.of_graph (graph t)], cached per epoch.  Lets engine
-    front-ends key result caches and count dynamic hits/misses. *)
+    [Fingerprint.of_graph (graph t)].  The session keeps the
+    fingerprint's per-arc lane sums: [set_weight]/[set_transit]
+    subtract the arc's old term and add its new one, so after label
+    edits this call is O(1) and allocates only its result.
+    [add_arc]/[remove_arc] renumber the snapshot's arcs; the next call
+    (or query) re-partitions, and that pass over the session's arcs
+    rebuilds the sums.  Lets engine front-ends key result caches and
+    count dynamic hits/misses. *)
 
-(** {1 Journal and replay} *)
+(** {1 Replay} *)
 
 type update =
   | Set_weight of { arc : int; weight : int }
@@ -135,12 +145,8 @@ type update =
           hand-built update, meaning "don't check"). *)
   | Remove_arc of { arc : int }
 
-val journal : t -> update list
-(** All updates applied so far, oldest first.  Replaying them against
-    the base graph reproduces the session state exactly. *)
-
 val apply : t -> update -> unit
-(** Applies one journal entry.
+(** Applies one update.
     @raise Invalid_argument if an [Add_arc] entry carries an id
     different from the one the session assigns (the journal does not
     match this session's history), or under the same conditions as the

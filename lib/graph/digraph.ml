@@ -241,6 +241,8 @@ module Unsafe = struct
   let in_csr g = (g.in_start, g.in_arcs)
   let srcs g = g.arc_src
   let dsts g = g.arc_dst
+  let weights g = g.arc_weight
+  let transits g = g.arc_transit
   let weights_float g = g.arc_weight_f
   let transits_float g = g.arc_transit_f
   let of_label_arrays = of_label_arrays

@@ -146,6 +146,14 @@ module Unsafe : sig
   val dsts : t -> int_array1
   (** The internal arc-head array ([dsts.{a} = dst g a]); read-only. *)
 
+  val weights : t -> int_array1
+  (** The internal weight array ([weights.{a} = weight g a]); read-only
+      (write through {!set_weight}, which keeps the float mirror in
+      sync). *)
+
+  val transits : t -> int_array1
+  (** The internal transit-time array; read-only, like {!weights}. *)
+
   val weights_float : t -> float_array1
   (** The float64 mirror of the weights ([weights_float g).{a} =
       float_of_int (weight g a)], exact for every admissible label).

@@ -26,6 +26,8 @@ let fail lineno msg = failwith (Printf.sprintf "Graph_io: line %d: %s" lineno ms
    more arcs than [String.length s / min_arc_line] cannot be honest *)
 let min_arc_line = 7
 
+let max_nodes = 1 lsl 20
+
 (* a fast-path field holds at most 18 digits, so it always fits *)
 let max_fast_digits = 18
 
@@ -55,6 +57,11 @@ let scan fmt s =
     if !n >= 0 then fail lineno "duplicate problem line";
     match (int_of_string_opt sn, int_of_string_opt sm) with
     | Some n', Some m' when n' >= 0 && m' >= 0 && m' <= len / min_arc_line ->
+      (* isolated nodes cost no bytes, so n is bounded outright: the
+         CSR build allocates O(n) *)
+      if n' > max_nodes then
+        fail lineno
+          (Printf.sprintf "%d nodes exceed the limit of %d" n' max_nodes);
       let ia () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout m' in
       arc_src := ia ();
       arc_dst := ia ();

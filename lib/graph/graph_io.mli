@@ -15,6 +15,13 @@
     An arc line past the declared count fails at that line; an input
     that ends short fails with the declared and found counts.
 
+    {b The node count is bounded.}  A problem line declaring more than
+    {!max_nodes} (2²⁰ = 1 048 576) nodes fails with
+    [<n> nodes exceed the limit of 1048576], also before anything is
+    allocated: isolated nodes cost no input bytes, so unlike [<m>] the
+    file size cannot bound [<n>], and the graph build allocates O(n).
+    The largest graph the benchmarks use has 32 768 nodes.
+
     {b One scanner reads both formats.}  {!of_string} and {!of_dimacs}
     are the same byte-level scanner, parameterized by the problem-line
     tag, the comment byte and whether a transit field is allowed.  It
@@ -26,6 +33,9 @@
     token), so signs, radix prefixes, underscores, tabs, carriage
     returns and overlong numbers are accepted or rejected exactly as
     [int_of_string_opt] decides, with the same messages. *)
+
+val max_nodes : int
+(** The largest node count a problem line may declare: 2²⁰. *)
 
 val to_string : Digraph.t -> string
 val of_string : string -> Digraph.t

@@ -32,7 +32,10 @@ gate --speedup bench-e14.json 4 1.2
 # and access_complete strict; its workers=2 timing skips when the
 # host core count differs from the recording box); BENCH_pr17.json
 # gates E20's loader and SCC rows (identical strict: round-trip,
-# component ids and subproblems equal the reference implementations).
+# component ids and subproblems equal the reference implementations);
+# BENCH_pr23.json gates the same run again with E20's fingerprint rows
+# added (identical strict: equal structures fingerprint equal, and a
+# session's fingerprint equals its snapshot's through scripted edits).
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -42,7 +45,8 @@ gate \
   BENCH_pr8.json bench-e17.json \
   BENCH_pr9.json bench-e18.json \
   BENCH_pr10.json bench-e19.json \
-  BENCH_pr17.json bench-e20.json
+  BENCH_pr17.json bench-e20.json \
+  BENCH_pr23.json bench-e20.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)

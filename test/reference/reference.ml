@@ -7,15 +7,18 @@
      Digraph builder), one near-copy per format;
    - Tarjan's algorithm over a per-node successor copy with a
      (node, cursor ref) frame per DFS step;
-   - the integer and the float Bellman–Ford engines (see below).
+   - the integer and the float Bellman–Ford engines (see below);
+   - the chained fingerprint: two lanes absorbing every arc's four
+     fields in arc-id order, four SplitMix64 finalizers per lane per
+     arc.
 
    [of_string]/[of_dimacs] take two optional hooks so a test can layer
-   the arc-count rule on top: [on_problem lineno m] runs once the
+   the count rules on top: [on_problem lineno n m] runs once the
    problem line parsed, [on_arc lineno] after each arc was added. *)
 
 let fail lineno msg = failwith (Printf.sprintf "Graph_io: line %d: %s" lineno msg)
 
-let of_string ?(on_problem = fun _ _ -> ()) ?(on_arc = fun _ -> ()) s =
+let of_string ?(on_problem = fun _ _ _ -> ()) ?(on_arc = fun _ -> ()) s =
   let builder = ref None in
   let lineno = ref 0 in
   let handle_line line =
@@ -27,7 +30,7 @@ let of_string ?(on_problem = fun _ _ -> ()) ?(on_arc = fun _ -> ()) s =
         if !builder <> None then fail !lineno "duplicate problem line";
         match (int_of_string_opt sn, int_of_string_opt sm) with
         | Some n, Some m when n >= 0 ->
-          on_problem !lineno m;
+          on_problem !lineno n m;
           builder := Some (Digraph.create_builder n)
         | _ -> fail !lineno "malformed problem line")
       | "a" :: rest -> (
@@ -58,7 +61,7 @@ let of_string ?(on_problem = fun _ _ -> ()) ?(on_arc = fun _ -> ()) s =
   | Some b -> Digraph.build b
   | None -> failwith "Graph_io: missing problem line"
 
-let of_dimacs ?(on_problem = fun _ _ -> ()) ?(on_arc = fun _ -> ()) s =
+let of_dimacs ?(on_problem = fun _ _ _ -> ()) ?(on_arc = fun _ -> ()) s =
   let builder = ref None in
   let lineno = ref 0 in
   let handle_line line =
@@ -70,7 +73,7 @@ let of_dimacs ?(on_problem = fun _ _ -> ()) ?(on_arc = fun _ -> ()) s =
         if !builder <> None then fail !lineno "duplicate problem line";
         match (int_of_string_opt sn, int_of_string_opt sm) with
         | Some n, Some m when n >= 0 ->
-          on_problem !lineno m;
+          on_problem !lineno n m;
           builder := Some (Digraph.create_builder n)
         | _ -> fail !lineno "malformed problem line")
       | [ "a"; su; sv; sw ] -> (
@@ -93,15 +96,20 @@ let of_dimacs ?(on_problem = fun _ _ -> ()) ?(on_arc = fun _ -> ()) s =
   | Some b -> Digraph.build b
   | None -> failwith "Graph_io: missing problem line"
 
-(* The arc-count rule Graph_io enforces, expressed over the hooks: a
-   declared count that is negative or exceeds what the input could
-   hold is a malformed problem line, an arc past it fails at its line,
-   and a short input fails at the end. *)
+(* The count rules Graph_io enforces, expressed over the hooks: a
+   declared arc count that is negative or exceeds what the input could
+   hold is a malformed problem line, then a node count past
+   [Graph_io.max_nodes] fails before the builder is made; an arc past
+   the declared count fails at its line, and a short input fails at
+   the end. *)
 let with_count_rule parse s =
   let declared = ref 0 and found = ref 0 in
-  let on_problem lineno m =
+  let on_problem lineno n m =
     if m < 0 || m > String.length s / 7 then
       fail lineno "malformed problem line";
+    if n > Graph_io.max_nodes then
+      fail lineno
+        (Printf.sprintf "%d nodes exceed the limit of %d" n Graph_io.max_nodes);
     declared := m
   in
   let on_arc lineno =
@@ -314,3 +322,36 @@ let bf_engine_float ?on_relax ~cost g =
   match !found with
   | Some cycle -> Error cycle
   | None -> Ok dist
+
+(* The chained fingerprint the per-arc sum replaced, verbatim apart
+   from the result type (a pair of lanes, [(lo, hi)]), kept as the
+   E20 fingerprint rows' reference timing. *)
+let golden = 0x9E3779B97F4A7C15L
+
+(* SplitMix64 finalizer (Steele, Lea & Flood) — same mixer as Rng. *)
+let mix z =
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
+      0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+      0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let absorb st x = mix (Int64.add (Int64.add st golden) (Int64.of_int x))
+
+let fingerprint g =
+  let n = Digraph.n g and m = Digraph.m g in
+  (* two independently seeded lanes absorbing the same structural
+     stream give a 128-bit state *)
+  let lo = ref (absorb (absorb 0L n) m) in
+  let hi = ref (absorb (absorb 0x6A09E667F3BCC909L m) n) in
+  for a = 0 to m - 1 do
+    let s = Digraph.src g a and d = Digraph.dst g a in
+    let w = Digraph.weight g a and t = Digraph.transit g a in
+    lo := absorb (absorb (absorb (absorb !lo s) d) w) t;
+    hi := absorb (absorb (absorb (absorb !hi t) w) d) s
+  done;
+  (!lo, !hi)

@@ -50,20 +50,35 @@ let pick_live s rng =
     Some !a
   end
 
-(* One random update; arc insertions/removals drive SCC merges and
-   splits on these tiny graphs constantly. *)
+(* One random update, returned as applied; arc insertions/removals
+   drive SCC merges and splits on these tiny graphs constantly. *)
 let random_update ~tlo s rng =
   let n = Dyn.n s in
   let roll = Rng.int rng 10 in
-  match pick_live s rng with
-  | Some a when roll < 5 -> Dyn.set_weight s a (Rng.in_range rng (-20) 20)
-  | Some a when roll < 7 -> Dyn.set_transit s a (Rng.in_range rng tlo 3)
-  | Some a when roll = 7 -> Dyn.remove_arc s a
-  | _ ->
-    ignore
-      (Dyn.add_arc s ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
-         ~weight:(Rng.in_range rng (-20) 20)
-         ~transit:(Rng.in_range rng (max tlo 0) 3))
+  let u =
+    match pick_live s rng with
+    | Some a when roll < 5 ->
+      Dyn.Set_weight { arc = a; weight = Rng.in_range rng (-20) 20 }
+    | Some a when roll < 7 ->
+      Dyn.Set_transit { arc = a; transit = Rng.in_range rng tlo 3 }
+    | Some a when roll = 7 -> Dyn.Remove_arc { arc = a }
+    | _ ->
+      Dyn.Add_arc
+        {
+          arc = Dyn.arc_count s;
+          src = Rng.int rng n;
+          dst = Rng.int rng n;
+          weight = Rng.in_range rng (-20) 20;
+          transit = Rng.in_range rng (max tlo 0) 3;
+        }
+  in
+  Dyn.apply s u;
+  u
+
+let check_fingerprint what s =
+  Alcotest.(check string) (what ^ ": fingerprint matches snapshot")
+    (Fingerprint.to_hex (Fingerprint.of_graph (Dyn.graph s)))
+    (Fingerprint.to_hex (Dyn.fingerprint s))
 
 let base_graph ~tlo rng n m =
   let arcs = ref [] in
@@ -84,27 +99,29 @@ let mixed_updates ~problem ~objective ~jobs ~seed ~updates () =
   let s = Dyn.create ~problem ~objective ~jobs g in
   Fun.protect ~finally:(fun () -> Dyn.close s) @@ fun () ->
   for step = 1 to updates do
-    random_update ~tlo s rng;
+    ignore (random_update ~tlo s rng);
+    let what = Printf.sprintf "step %d (epoch %d)" step (Dyn.epoch s) in
+    (* the fingerprint is checked after every update, before or after
+       the query, so both the O(1) label path and the rebuild inside a
+       re-partition (reached from either call) are exercised *)
+    let fp_first = Rng.bool rng in
+    if fp_first then check_fingerprint what s;
     let want = cold_answer ~problem ~objective ~jobs:1 (Dyn.graph s) in
     let got = session_answer s in
-    Alcotest.(check string)
-      (Printf.sprintf "step %d (epoch %d)" step (Dyn.epoch s))
-      (show_answer want) (show_answer got)
+    Alcotest.(check string) what (show_answer want) (show_answer got);
+    if not fp_first then check_fingerprint what s
   done;
-  Alcotest.(check int) "epoch counts updates" updates (Dyn.epoch s);
-  (* the per-epoch fingerprint is the snapshot's fingerprint *)
-  Alcotest.(check string) "fingerprint matches snapshot"
-    (Fingerprint.to_hex (Fingerprint.of_graph (Dyn.graph s)))
-    (Fingerprint.to_hex (Dyn.fingerprint s))
+  Alcotest.(check int) "epoch counts updates" updates (Dyn.epoch s)
 
 let replay_roundtrip () =
   let rng = Rng.create 42 in
   let g = base_graph ~tlo:1 rng 8 12 in
   let s = Dyn.create g in
-  for _ = 1 to 120 do
-    random_update ~tlo:1 s rng
-  done;
-  let s2 = Dyn.replay g (Dyn.journal s) in
+  let updates = List.init 120 (fun _ -> random_update ~tlo:1 s rng) in
+  (* 120 updates with no query between: label edits land while the
+     partition is stale *)
+  check_fingerprint "unqueried session" s;
+  let s2 = Dyn.replay g updates in
   Alcotest.(check int) "same epoch" (Dyn.epoch s) (Dyn.epoch s2);
   Alcotest.(check string) "same fingerprint"
     (Fingerprint.to_hex (Dyn.fingerprint s))
@@ -189,6 +206,53 @@ let steady_allocation () =
     (Printf.sprintf "per-round minor words %.0f < 8192" per_round)
     true
     (per_round < 8192.0)
+
+(* A label edit adjusts the fingerprint's lane sums in place: on a
+   4096-register maximize session (the stream-edit shape), an edit plus
+   a fingerprint costs a few words — the result — not a negated copy
+   of the graph and a re-hash of every arc. *)
+let fingerprint_edit_allocation () =
+  let g = Circuit.generate ~seed:3 ~registers:4096 () in
+  let s = Dyn.create ~objective:Solver.Maximize g in
+  ignore (Dyn.query s);
+  ignore (Dyn.fingerprint s);
+  let m = Dyn.arc_count s and rounds = 200 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to rounds do
+    Dyn.set_weight s (i * 37 mod m) (1 + (i mod 100));
+    ignore (Dyn.fingerprint s)
+  done;
+  let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "set_weight + fingerprint: %.0f minor words (<= 64)"
+       per_round)
+    true (per_round <= 64.0);
+  check_fingerprint "after the edits" s
+
+(* A session keeps no per-update history: the live heap after 20 000
+   label edits is the heap after 1 000, up to noise. *)
+let bounded_session_memory () =
+  let g = Circuit.generate ~seed:5 ~registers:256 () in
+  let s = Dyn.create g in
+  ignore (Dyn.query s);
+  let m = Dyn.arc_count s in
+  let edit i =
+    Dyn.set_weight s (i * 7 mod m) (1 + (i mod 100));
+    if i mod 500 = 0 then ignore (Dyn.query s)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for i = 1 to 1_000 do edit i done;
+  let after_1k = live_words () in
+  for i = 1_001 to 20_000 do edit i done;
+  let after_20k = live_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< 20000)" (after_20k - after_1k))
+    true
+    (after_20k - after_1k < 20_000);
+  Alcotest.(check int) "epoch" 20_000 (Dyn.epoch s)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental: ratio problems and set_transit (satellite)             *)
@@ -375,6 +439,10 @@ let suite =
       `Quick dead_arc_updates;
     Alcotest.test_case "weight edit + re-query allocates O(component)"
       `Quick steady_allocation;
+    Alcotest.test_case "label edit + fingerprint allocates O(1)" `Quick
+      fingerprint_edit_allocation;
+    Alcotest.test_case "20 000 label edits keep the live heap flat" `Quick
+      bounded_session_memory;
     Alcotest.test_case "Incremental ratio sessions warm = cold" `Quick
       incremental_ratio;
     Alcotest.test_case "Incremental.set_transit guards" `Quick

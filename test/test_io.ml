@@ -168,21 +168,6 @@ let mutate rng text =
     s := String.concat "\r\n" (String.split_on_char '\n' !s);
   !s
 
-(* The node count has no upper bound yet (the loader allocates O(n)
-   for any declared n), so inputs whose mutations grew a problem
-   line's node count past 10^6 are skipped: both loaders would only
-   spend memory on them, identically. *)
-let declares_huge_n s =
-  String.split_on_char '\n' s
-  |> List.exists (fun line ->
-         match
-           String.split_on_char ' ' (String.trim line)
-           |> List.filter (fun t -> t <> "")
-         with
-         | [ "p"; _; sn; _ ] -> (
-           match int_of_string_opt sn with Some n -> n > 1_000_000 | None -> false)
-         | _ -> false)
-
 let gen_mutated render =
   let open QCheck.Gen in
   let* g = Helpers.gen_any_graph ~max_n:6 ~max_m:10 ~wlo:(-100_000) ~whi:100_000 ~tmax:4 () in
@@ -195,7 +180,6 @@ let qcheck_scanner_matches_oracle name render =
     ~count:1500
     (QCheck.make ~print:String.escaped (gen_mutated render))
     (fun s ->
-      QCheck.assume (not (declares_huge_n s));
       (* each input goes through both formats' loaders *)
       outcome Graph_io.of_string s = outcome Helpers.oracle_of_string s
       && outcome Graph_io.of_dimacs s = outcome Helpers.oracle_of_dimacs s)
