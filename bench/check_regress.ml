@@ -71,7 +71,7 @@ let load path =
 
 let discriminators = [ "family"; "graph"; "problem"; "n"; "m"; "jobs";
                        "workload"; "trace"; "obs"; "components_edited";
-                       "cluster"; "workers"; "eps" ]
+                       "cluster"; "workers" ]
 
 let row_key = function
   | Obj fields ->
@@ -125,8 +125,7 @@ let leaf_name path =
 let gated_metric path =
   List.mem (leaf_name path)
     [ "ms"; "ms_per_solve"; "ms_per_req"; "one_pass_ms"; "induced_scan_ms";
-      "cold_ms"; "warm_ms_median"; "cold_ms_median"; "exact_ms"; "approx_ms";
-      "float_ms" ]
+      "cold_ms"; "warm_ms_median"; "cold_ms_median"; "exact_ms"; "float_ms" ]
 
 let failures = ref 0
 let warnings = ref 0

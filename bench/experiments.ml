@@ -1342,127 +1342,6 @@ let e16 _cfg =
       close_out oc;
       Printf.printf "wrote %s\n" path
 
-(* E17: the certified approximation lane vs the exact portfolio.  Two  *)
-(* families — the low-diameter expander (truncated value iteration's   *)
-(* best case: every node reachable in few rounds) and plain SPRAND —   *)
-(* across n and eps.  exact_ms times Howard, approx_ms the approx      *)
-(* lane; width is the certified interval hi - lo, and [identical]      *)
-(* asserts the certificate brackets Howard's exact optimum on every    *)
-(* seed (the CI gate re-checks that flag).  --bench-json FILE writes   *)
-(* the rows (BENCH_pr8.json) with eps as a row discriminator.          *)
-(* ------------------------------------------------------------------ *)
-
-let e17 cfg =
-  let families =
-    [
-      ( "low_diameter",
-        fun ~n ~seed -> Families.low_diameter ~seed ~diameter:3 n );
-      ("sprand", fun ~n ~seed -> instance ~n ~density:3.0 ~seed);
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun (fam, gen) ->
-        List.concat_map
-          (fun n ->
-            List.map
-              (fun eps ->
-                let per_seed =
-                  List.map
-                    (fun seed ->
-                      let g = gen ~n ~seed in
-                      let exact_ms =
-                        Timing.time_ms ~reps:3 (fun () ->
-                            ignore (Solver.solve ~algorithm:Registry.Howard g))
-                      in
-                      let approx_ms =
-                        Timing.time_ms ~reps:3 (fun () ->
-                            ignore (Approx.solve ~eps g))
-                      in
-                      let exact =
-                        Option.get (Solver.solve ~algorithm:Registry.Howard g)
-                      in
-                      let c = Option.get (Approx.solve ~eps g) in
-                      let bracket =
-                        Ratio.leq c.Approx.lo exact.Solver.lambda
-                        && Ratio.leq exact.Solver.lambda c.Approx.hi
-                        && c.Approx.converged
-                      in
-                      let width =
-                        Ratio.to_float c.Approx.hi -. Ratio.to_float c.Approx.lo
-                      in
-                      (Digraph.m g, exact_ms, approx_ms, width, c, bracket))
-                    cfg.seeds
-                in
-                let m =
-                  match per_seed with (m, _, _, _, _, _) :: _ -> m | [] -> 0
-                in
-                let mean f = Timing.mean (List.map f per_seed) in
-                let exact_ms = mean (fun (_, e, _, _, _, _) -> e) in
-                let approx_ms = mean (fun (_, _, a, _, _, _) -> a) in
-                let width = mean (fun (_, _, _, w, _, _) -> w) in
-                let tests =
-                  List.fold_left
-                    (fun acc (_, _, _, _, c, _) -> acc + c.Approx.tests)
-                    0 per_seed
-                in
-                let rounds =
-                  List.fold_left
-                    (fun acc (_, _, _, _, c, _) -> acc + c.Approx.rounds)
-                    0 per_seed
-                in
-                let bracket =
-                  List.for_all (fun (_, _, _, _, _, b) -> b) per_seed
-                in
-                (fam, n, m, eps, exact_ms, approx_ms, width, tests, rounds,
-                 bracket))
-              [ 0.1; 0.01 ])
-          cfg.sizes)
-      families
-  in
-  Tables.print
-    ~title:
-      "E17: exact (Howard) vs the certified approximation lane across \
-       families, n and eps; width = certified hi - lo (target eps*scale); \
-       identical = certificate brackets the exact optimum on every seed"
-    ~header:
-      [ "family"; "n"; "m"; "eps"; "exact ms"; "approx ms"; "speedup";
-        "width"; "tests"; "identical" ]
-    (List.map
-       (fun (fam, n, m, eps, exact_ms, approx_ms, width, tests, _rounds,
-             bracket) ->
-         [
-           fam; string_of_int n; string_of_int m; Printf.sprintf "%g" eps;
-           Tables.fmt_ms exact_ms; Tables.fmt_ms approx_ms;
-           Printf.sprintf "%.2fx" (exact_ms /. approx_ms);
-           Printf.sprintf "%.3f" width; string_of_int tests;
-           (if bracket then "yes" else "NO");
-         ])
-       rows);
-  match !bench_json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    let out fmt = Printf.fprintf oc fmt in
-    let cores = host_cores () in
-    out "{\n  \"experiment\": \"E17\",\n";
-    out "  \"host_cores\": %d,\n" cores;
-    out "  \"approx_vs_exact\": [\n";
-    List.iteri
-      (fun i (fam, n, m, eps, exact_ms, approx_ms, width, tests, rounds,
-              bracket) ->
-        out
-          "    {\"family\": \"%s\", \"n\": %d, \"m\": %d, \"jobs\": 1, \
-           \"eps\": %g, \"host_cores\": %d, \"exact_ms\": %.4f, \
-           \"approx_ms\": %.4f, \"width\": %.4f, \"tests\": %d, \
-           \"rounds\": %d, \"identical\": %b}%s\n"
-          fam n m eps cores exact_ms approx_ms width tests rounds bracket
-          (if i < List.length rows - 1 then "," else ""))
-      rows;
-    out "  ]\n}\n";
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-
 (* E18: the exact-rational lane vs the float portfolio.  Every row    *)
 (* solves the same instance twice — Howard (the portfolio champion)   *)
 (* and the Stern–Brocot lane, whose λ comes purely from integer       *)
@@ -1932,4 +1811,4 @@ let all : (string * (config -> unit)) list =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E17", e17); ("E18", e18); ("E19", e19); ("E20", e20) ]
+    ("E18", e18); ("E19", e19); ("E20", e20) ]

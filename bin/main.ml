@@ -176,18 +176,6 @@ let solve_cmd =
              as Chrome trace-event JSON (open in Perfetto or \
              about://tracing).")
   in
-  let approx =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "approx" ] ~docv:"EPS"
-          ~doc:
-            "Answer with a certified interval [lo, hi] of width at most \
-             EPS times the weight scale instead of the exact optimum \
-             (the (1+ε)-approximation lane; see docs/APPROX.md).  Under \
-             $(b,--deadline-ms) the interval degrades gracefully instead \
-             of timing out.")
-  in
   let exact =
     Arg.(
       value & flag
@@ -196,23 +184,11 @@ let solve_cmd =
             "Also print the answer as an exact rational: a \
              $(b,lambda_num=)/$(b,lambda_den=) line, recomputed from the \
              witness cycle's integer weight and transit sums and \
-             cross-checked against the solver's λ (see docs/EXACT.md).  \
-             Incompatible with $(b,--approx).")
+             cross-checked against the solver's λ (see docs/EXACT.md).")
   in
   let run file algorithm objective problem verify show_stats show_cycle
-      deadline_ms jobs trace approx exact =
+      deadline_ms jobs trace exact =
     check_jobs jobs;
-    (match approx with
-    | Some eps when Result.is_error (Approx.validate_eps eps) ->
-      prerr_endline "ocr: --approx must be a positive finite float";
-      exit 1
-    | _ -> ());
-    if exact && approx <> None then begin
-      prerr_endline
-        "ocr: --exact does not apply to --approx (an interval answer has no \
-         single rational certificate)";
-      exit 1
-    end;
     let g = load_graph file in
     (match trace with
     | Some _ ->
@@ -230,40 +206,6 @@ let solve_cmd =
             ())
         deadline_ms
     in
-    match approx with
-    | Some eps -> (
-      let stats = Stats.create () in
-      match Approx.solve ~stats ?budget ~jobs ~problem ~objective ~eps g with
-      | exception Invalid_argument msg -> die msg
-      | None ->
-        finish_trace ();
-        print_endline "acyclic graph: no cycle to optimize";
-        exit 2
-      | Some c ->
-        finish_trace ();
-        Printf.printf "lambda in [%s, %s] ([%.6f, %.6f])\n"
-          (Ratio.to_string c.Approx.lo) (Ratio.to_string c.Approx.hi)
-          (Ratio.to_float c.Approx.lo) (Ratio.to_float c.Approx.hi);
-        Printf.printf "width = %g (target %g) certified = %b tests = %d rounds = %d\n"
-          (Ratio.to_float c.Approx.hi -. Ratio.to_float c.Approx.lo)
-          (eps *. c.Approx.scale) c.Approx.converged c.Approx.tests
-          c.Approx.rounds;
-        if show_cycle then
-          Printf.printf "cycle: %s\n"
-            (String.concat " "
-               (List.map
-                  (fun a ->
-                    Printf.sprintf "%d->%d" (Digraph.src g a) (Digraph.dst g a))
-                  c.Approx.witness));
-        if show_stats then Format.printf "stats: %a@." Stats.pp stats;
-        if verify then begin
-          match Approx.recheck ~objective ~problem g c with
-          | Ok () -> print_endline "certificate: OK"
-          | Error e ->
-            Printf.printf "certificate FAILED: %s\n" e;
-            exit 3
-        end)
-    | None -> (
     match Solver.solve ~objective ~problem ?budget ~jobs ~algorithm g with
     | exception Invalid_argument msg -> die msg
     | exception Solver.Deadline_exceeded { partial } ->
@@ -321,7 +263,7 @@ let solve_cmd =
         | Error e ->
           Printf.printf "certificate FAILED: %s\n" e;
           exit 3
-      end)
+      end
   in
   Cmd.v
     (Cmd.info "solve"
@@ -329,7 +271,7 @@ let solve_cmd =
     Term.(
       const run $ graph_file_arg $ algorithm_arg $ objective_arg $ problem_arg
       $ verify $ show_stats $ show_cycle $ deadline_ms $ jobs_arg $ trace
-      $ approx $ exact)
+      $ exact)
 
 (* ----------------------------------------------------------------- *)
 (* info                                                               *)

@@ -933,6 +933,11 @@ let run cfg client_fd client_oc =
       lat = Metrics.create ();
     }
   in
+  (* every worker exports its latency histograms from the start, zero
+     until it serves, so the exposition does not depend on routing;
+     one loop per family keeps each family's samples adjacent *)
+  Array.iter (fun w -> ignore (queue_wait_hist t w.w_id)) t.ws;
+  Array.iter (fun w -> ignore (request_total_hist t w.w_id)) t.ws;
   Array.iter (fun w -> spawn_into t w) t.ws;
   if t.tracing then Array.iter (fun w -> sync_worker w) t.ws;
   serve_loop t client_fd;

@@ -24,9 +24,6 @@ let real_costs problem g lambda =
   done;
   costs
 
-let scaled_cost g ~den lambda a =
-  (Ratio.den lambda * Digraph.weight g a) - (Ratio.num lambda * den a)
-
 let scaled_costs g ~den lambda =
   let p = Ratio.num lambda and q = Ratio.den lambda in
   let costs = Array.make (Digraph.m g) 0 in

@@ -34,11 +34,9 @@ val any_cycle : who:string -> Digraph.t -> int list
     @raise Invalid_argument ["<who>: input graph is acyclic"] if there
     is none. *)
 
-val scaled_cost : Digraph.t -> den:(int -> int) -> Ratio.t -> int -> int
-(** [scaled_cost g ~den lambda a = den lambda · w(a) − num lambda · den a]. *)
-
 val scaled_costs : Digraph.t -> den:(int -> int) -> Ratio.t -> int array
-(** G_λ in exact integers: entry [a] is [scaled_cost g ~den lambda a].
+(** G_λ in exact integers: entry [a] is
+    [den lambda · w(a) − num lambda · den a].
     A fresh array per call, ready for [Bellman_ford.run (Int _)]. *)
 
 val ratio_of_cycle : Digraph.t -> den:(int -> int) -> int list -> Ratio.t

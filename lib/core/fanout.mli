@@ -1,8 +1,8 @@
 (** One component fan-out: the per-SCC loop every front-end shares.
 
     §2 of the paper solves an instance component by component and keeps
-    the best optimum; {!Solver}, the batch engine, {!Dyn}'s incremental
-    re-solve and the approximation lane all run that loop through
+    the best optimum; {!Solver}, the batch engine and {!Dyn}'s
+    incremental re-solve all run that loop through
     {!run}, and all reduce it with {!best}.  The combinator owns the
     placement policy between its two levels of parallelism (items across
     the pool, and the pool handed down into one item's solve), the

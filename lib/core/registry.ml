@@ -43,71 +43,9 @@ let of_name s =
   let s = String.lowercase_ascii s in
   List.find_opt (fun a -> name a = s) all
 
-(* ------------------------------------------------------------------ *)
-(* Approximation lanes                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Exact algorithms are a closed variant (the paper's table); lanes
-   that trade exactness for speed register themselves here at module
-   init, so the core stays free of a dependency on the lane libraries
-   while the engine, CLI and request parser can still discover them by
-   name. *)
-
-type lane_result = {
-  lane_lo : Ratio.t;
-  lane_hi : Ratio.t;
-  lane_witness : int list;
-  lane_tests : int;
-  lane_rounds : int;
-  lane_converged : bool;
-}
-
-type lane_solver =
-  ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t -> eps:float ->
-  Digraph.t -> lane_result
-
-type lane = {
-  lane_name : string;
-  lane_mean : lane_solver;
-  lane_ratio : lane_solver;
-}
-
-let lanes : (string, lane) Hashtbl.t = Hashtbl.create 4
-
-let register_lane l = Hashtbl.replace lanes l.lane_name l
-
-let lane s = Hashtbl.find_opt lanes (String.lowercase_ascii s)
-
-let lane_names () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) lanes [] |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Exact lanes                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Same registration pattern as the approximation lanes, but for
-   verification-grade solvers that return the exact optimum through a
-   different computation than the table's algorithms (the Stern–Brocot
-   mediant search registers "exact").  No eps: the answer is λ* itself. *)
-
 type exact_solver =
   ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->
   Digraph.t -> Ratio.t * int list
-
-type exact_lane = {
-  exact_name : string;
-  exact_mean : exact_solver;
-  exact_ratio : exact_solver;
-}
-
-let exact_lanes : (string, exact_lane) Hashtbl.t = Hashtbl.create 4
-
-let register_exact_lane l = Hashtbl.replace exact_lanes l.exact_name l
-
-let exact_lane s = Hashtbl.find_opt exact_lanes (String.lowercase_ascii s)
-
-let exact_lane_names () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) exact_lanes [] |> List.sort compare
 
 let native_ratio = function
   | Burns | Howard | Lawler | Oa1 | Oa2 | Ko | Yto -> true

@@ -29,79 +29,14 @@ val display_name : algorithm -> string
 val of_name : string -> algorithm option
 (** Case-insensitive inverse of {!name} / {!display_name}. *)
 
-(** {1 Approximation lanes}
-
-    The exact algorithms above are a closed set; approximation lanes —
-    solvers that return a certified interval around λ* instead of the
-    exact value — register themselves here at module-initialization
-    time (the [ocr_approx] library registers ["approx"]).  The hook
-    keeps the core free of a dependency on the lane libraries while
-    letting the engine, the CLI and the request parser discover lanes
-    by name. *)
-
-type lane_result = {
-  lane_lo : Ratio.t;     (** certified: [lane_lo <= λ*] *)
-  lane_hi : Ratio.t;     (** exact value of [lane_witness]: [λ* <= lane_hi] *)
-  lane_witness : int list;  (** cycle attaining [lane_hi], arc ids in path order *)
-  lane_tests : int;      (** binary-search λ-tests performed *)
-  lane_rounds : int;     (** inner value-iteration rounds performed *)
-  lane_converged : bool; (** interval width reached the ε target *)
-}
-
-type lane_solver =
-  ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t -> eps:float ->
-  Digraph.t -> lane_result
-(** Same contract as the exact entry points: strongly connected input
-    with at least one arc.  [eps] is relative to the instance's weight
-    scale; a partial (budget-interrupted) result is still a sound
-    interval, with [lane_converged = false]. *)
-
-type lane = {
-  lane_name : string;
-  lane_mean : lane_solver;
-  lane_ratio : lane_solver;
-}
-
-val register_lane : lane -> unit
-(** Idempotent by name (last registration wins). *)
-
-val lane : string -> lane option
-(** Case-insensitive lookup. *)
-
-val lane_names : unit -> string list
-(** Registered lane names, sorted. *)
-
-(** {1 Exact lanes}
-
-    The same self-registration hook for {e exact} alternative solvers:
-    lanes that return λ* itself (with a witness cycle) through a
-    different computation than the table's algorithms, usable as
-    independent verification.  {!Stern_brocot} registers ["exact"] —
-    the mediant-search lane converging on λ* through exact integer
-    negative-cycle probes. *)
-
 type exact_solver =
   ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->
   Digraph.t -> Ratio.t * int list
-(** Same contract as {!minimum_cycle_mean}/{!minimum_cycle_ratio}:
-    strongly connected input with at least one arc, exact optimum plus
-    witness cycle.
+(** The shape of {!minimum_cycle_mean}/{!minimum_cycle_ratio} applied
+    to an algorithm, and of {!Stern_brocot}'s entry points: strongly
+    connected input with at least one arc, exact optimum plus witness
+    cycle.
     @raise Budget.Exceeded when the supplied budget runs out. *)
-
-type exact_lane = {
-  exact_name : string;
-  exact_mean : exact_solver;
-  exact_ratio : exact_solver;
-}
-
-val register_exact_lane : exact_lane -> unit
-(** Idempotent by name (last registration wins). *)
-
-val exact_lane : string -> exact_lane option
-(** Case-insensitive lookup. *)
-
-val exact_lane_names : unit -> string list
-(** Registered exact-lane names, sorted. *)
 
 val native_ratio : algorithm -> bool
 (** Whether the algorithm solves the cost-to-time ratio problem

@@ -21,7 +21,7 @@ type report = {
 
 val preflight : problem:problem -> Digraph.t -> unit
 (** The well-posedness checks of {!solve}, for front-ends that run
-    {!solve_partition} or another lane directly — neither checks — and
+    {!solve_partition} or another solver directly — neither checks — and
     must reject exactly what {!solve} rejects.
     @raise Invalid_argument under the conditions documented on
     {!solve}. *)

@@ -107,11 +107,3 @@ let minimum_cycle_ratio ?stats ?budget ?pool g =
   search ?stats ?budget ~problem:Critical.Cycle_ratio
     ~dmax:(max 1 (Digraph.total_transit g))
     g
-
-let () =
-  Registry.register_exact_lane
-    {
-      Registry.exact_name = "exact";
-      exact_mean = minimum_cycle_mean;
-      exact_ratio = minimum_cycle_ratio;
-    }

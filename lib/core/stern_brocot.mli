@@ -1,6 +1,6 @@
 (** Exact optimum by Stern–Brocot (mediant) search.
 
-    A verification-grade lane: λ* is found purely through exact integer
+    A verification-grade solver: λ* is found purely through exact integer
     negative-cycle probes ({!Critical.locate}) guided by the
     Stern–Brocot tree, without the float iterates of Howard/Lawler —
     an independent computation path for auditing their answers.  The
@@ -9,8 +9,7 @@
     descent; witness cycles returned by Above probes accelerate the
     walk the way the improved Lawler search does.  See docs/EXACT.md.
 
-    Registers itself as the exact lane ["exact"]
-    ({!Registry.register_exact_lane}) at module initialization.
+    The engine answers [algorithm=exact] requests with it.
 
     Both entry points assume a strongly connected input with at least
     one arc (use the engine or {!Solver}-style per-SCC decomposition

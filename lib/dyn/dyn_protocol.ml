@@ -1,15 +1,16 @@
+type never = |
+
 type op =
   | Update of Dyn.update
-  | Query of { q_eps : float option; q_exact : bool }
-      (* [q_eps = Some eps]: approximate, certified answer;
-         [q_exact]: also answer the exact rational certificate *)
+  | Query of { q_eps : never option; q_exact : bool }
+      (* [q_exact]: also answer the exact rational certificate.  [q_eps]
+         is always [None]; the field stays because bench/e2e/corpus.ml
+         builds [Query { q_eps = None; ... }]. *)
   | Epoch
   | Fingerprint_op
   | Telemetry_op
   | Metrics_op
   | Quit
-
-let ( let* ) = Result.bind
 
 let parse line =
   match Njson.parse_flat line with
@@ -45,28 +46,14 @@ let parse line =
     | Some "remove_arc" ->
       int_field "arc" (fun arc -> Ok (Update (Dyn.Remove_arc { arc })))
     | Some "query" -> (
-      let* q_eps =
-        match Njson.field fields "eps" with
-        | None -> Ok None
-        | Some _ -> (
-          match Njson.field_float fields "eps" with
-          | Some e when Float.is_finite e && e > 0.0 -> Ok (Some e)
-          | _ -> Error "field \"eps\" must be a positive finite number")
-      in
-      let* q_exact =
-        match Njson.field fields "mode" with
-        | None -> Ok false
-        | Some _ -> (
-          match Njson.field_string fields "mode" with
-          | Some "float" -> Ok false
-          | Some "exact" -> Ok true
-          | _ -> Error "field \"mode\" must be \"float\" or \"exact\"")
-      in
-      if q_exact && q_eps <> None then
-        Error
-          "\"mode\":\"exact\" does not apply to eps queries (an interval \
-           answer has no single rational certificate)"
-      else Ok (Query { q_eps; q_exact }))
+      let query q_exact = Ok (Query { q_eps = None; q_exact }) in
+      match Njson.field fields "mode" with
+      | None -> query false
+      | Some _ -> (
+        match Njson.field_string fields "mode" with
+        | Some "float" -> query false
+        | Some "exact" -> query true
+        | _ -> Error "field \"mode\" must be \"float\" or \"exact\""))
     | Some "epoch" -> Ok Epoch
     | Some "fingerprint" -> Ok Fingerprint_op
     | Some "telemetry" -> Ok Telemetry_op
@@ -92,11 +79,9 @@ let render_update u =
 
 let render_op = function
   | Update u -> render_update u
-  | Query { q_eps = None; q_exact = false } -> Njson.obj [ ("op", {|"query"|}) ]
-  | Query { q_eps = None; q_exact = true } ->
+  | Query { q_exact = false; _ } -> Njson.obj [ ("op", {|"query"|}) ]
+  | Query { q_exact = true; _ } ->
     Njson.obj [ ("op", {|"query"|}); ("mode", {|"exact"|}) ]
-  | Query { q_eps = Some eps; q_exact = _ } ->
-    Njson.obj [ ("op", {|"query"|}); ("eps", Njson.float_lit eps) ]
   | Epoch -> Njson.obj [ ("op", {|"epoch"|}) ]
   | Fingerprint_op -> Njson.obj [ ("op", {|"fingerprint"|}) ]
   | Telemetry_op -> Njson.obj [ ("op", {|"telemetry"|}) ]

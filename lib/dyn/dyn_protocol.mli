@@ -6,19 +6,20 @@
     ["transit"] defaults to 1; its optional ["arc"] field is the
     replay-check id), plus ["query"], ["epoch"], ["fingerprint"],
     ["telemetry"], ["metrics"] and ["quit"].  A ["query"] may carry an
-    optional ["eps"] field (a positive finite number) requesting a
-    certified (1+ε)-approximate answer instead of an exact one, or an
     optional ["mode"] field ([{"mode":"exact"}]) requesting the exact
     rational certificate ([lambda_num]/[lambda_den]) alongside the
-    float answer; combining ["mode":"exact"] with ["eps"] is a
-    structured error (an interval has no single rational certificate),
-    answered without killing the stream. *)
+    float answer.  Fields an op does not name are ignored. *)
+
+type never = |
+(** The empty type: a field of type [never option] is always [None]. *)
 
 type op =
   | Update of Dyn.update
-  | Query of { q_eps : float option; q_exact : bool }
-      (** [q_eps = Some eps]: approximate query with certified interval;
-          [q_exact]: exact-answer mode — never both *)
+  | Query of { q_eps : never option; q_exact : bool }
+      (** [q_exact]: exact-answer mode.  [q_eps] is always [None]; it
+          stays only because the benchmark harness
+          (bench/e2e/corpus.ml, [query_line]) builds
+          [Query { q_eps = None; ... }]. *)
   | Epoch
   | Fingerprint_op
   | Telemetry_op

@@ -30,8 +30,6 @@ let create ?(cache_size = 256) ?journal session =
 let session t = t.session
 let telemetry t = t.tel
 
-let float_of_ratio r = Ratio.to_float r
-
 let ok_fields t rest =
   ("ok", "true") :: ("epoch", string_of_int (Dyn.epoch t.session)) :: rest
 
@@ -41,7 +39,7 @@ let answer_line t ~cached ~resolved ?(exact = []) = function
     Njson.obj
       (ok_fields t
          (("lambda", Njson.escape (Ratio.to_string lambda))
-          :: ("float", Printf.sprintf "%.6f" (float_of_ratio lambda))
+          :: ("float", Printf.sprintf "%.6f" (Ratio.to_float lambda))
           :: exact
          @ [
              ("cycle", Njson.int_array cycle);
@@ -91,8 +89,7 @@ let telemetry_line t =
   Njson.obj
     (counter_fields t
        Telemetry.
-         [ requests; solved; approx; exact; acyclic; rejected; cache_hits;
-           cache_misses ]
+         [ requests; solved; exact; acyclic; rejected; cache_hits; cache_misses ]
     @ [ ("cache_entries", string_of_int (Lru.length t.cache)) ])
 
 (* The telemetry table's rows (the latency histogram is recorded on
@@ -160,46 +157,10 @@ let do_query_inner t ~exact =
       answer_line t ~cached:false ~resolved:r.Dyn.resolved ~exact:ex
         (Some (r.Dyn.lambda, r.Dyn.cycle, r.Dyn.components)))
 
-(* Approximate query: a certified interval over the session's current
-   graph, answered by the approx lane rather than the incremental exact
-   core.  Deliberately uncached — the LRU holds exact answers keyed by
-   fingerprint, and an eps-wide interval must never shadow them (nor
-   vice versa: a later exact query still re-solves). *)
-let do_query_approx t ~eps =
-  Telemetry.incr t.tel Telemetry.requests;
-  Telemetry.incr t.tel Telemetry.cache_misses;
-  let g = Dyn.graph t.session in
-  let stats = Stats.create () in
-  match
-    Approx.solve ~stats ~problem:(Dyn.problem t.session)
-      ~objective:(Dyn.objective t.session) ~eps g
-  with
-  | None ->
-    Telemetry.incr t.tel Telemetry.acyclic;
-    Njson.obj (ok_fields t [ ("acyclic", "true") ])
-  | Some (c : Approx.certificate) ->
-    Telemetry.incr t.tel Telemetry.approx;
-    Telemetry.add t.tel Telemetry.approx_iterations c.Approx.rounds;
-    Telemetry.record_ops t.tel stats;
-    let cycle = List.map (Dyn.of_graph_arc t.session) c.Approx.witness in
-    Njson.obj
-      (ok_fields t
-         [
-           ("lambda_lo", Njson.escape (Ratio.to_string c.Approx.lo));
-           ("lambda_hi", Njson.escape (Ratio.to_string c.Approx.hi));
-           ("lo_float", Printf.sprintf "%.6f" (float_of_ratio c.Approx.lo));
-           ("hi_float", Printf.sprintf "%.6f" (float_of_ratio c.Approx.hi));
-           ("eps", Njson.float_lit c.Approx.eps);
-           ("certified", string_of_bool c.Approx.converged);
-           ("cycle", Njson.int_array cycle);
-           ("components", string_of_int c.Approx.components);
-           ("cached", "false");
-         ])
-
 (* Wraps the query in its span and latency observation; a rejected
    query (Invalid_argument propagating to [handle]) closes the span on
    the way out so the trace stays balanced. *)
-let do_query ?eps ?(exact = false) t =
+let do_query ~exact t =
   if !Obs.enabled_flag then Trace.begin_span sp_query;
   let t0 = Obs.now_ns () in
   let finish () =
@@ -207,12 +168,7 @@ let do_query ?eps ?(exact = false) t =
       (float_of_int (Obs.now_ns () - t0) /. 1e6);
     if !Obs.enabled_flag then Trace.end_span sp_query
   in
-  let run () =
-    match eps with
-    | None -> do_query_inner t ~exact
-    | Some e -> do_query_approx t ~eps:e
-  in
-  match run () with
+  match do_query_inner t ~exact with
   | reply ->
     finish ();
     reply
@@ -244,8 +200,8 @@ let handle t line =
               ]))
     | Dyn_protocol.Telemetry_op -> `Reply (telemetry_line t)
     | Dyn_protocol.Metrics_op -> `Reply (metrics_line t)
-    | Dyn_protocol.Query { q_eps; q_exact } -> (
-      match do_query ?eps:q_eps ~exact:q_exact t with
+    | Dyn_protocol.Query { q_exact; _ } -> (
+      match do_query ~exact:q_exact t with
       | reply ->
         log_journal t op;
         `Reply reply

@@ -1,22 +1,12 @@
-type cache_entry =
-  | E_exact of {
-      e_lambda : Ratio.t;
-      e_cycle : int list;
-      e_components : int;
-      e_algorithm : string;
-      e_cert : Ratio.t option;
-    }
-  | E_approx of {
-      a_lo : Ratio.t;
-      a_hi : Ratio.t;
-      a_cycle : int list;
-      a_eps : float;
-      a_scale : float;
-      a_components : int;
-      a_tests : int;
-      a_rounds : int;
-      a_converged : bool;
-    }
+type cache_entry = {
+  e_lambda : Ratio.t;
+  e_cycle : int list;
+  e_components : int;
+  e_algorithm : string;
+  e_cert : Ratio.t option;
+      (* the mode=exact certificate; exact and float answers live under
+         distinct cache keys (Request.key's kmode) *)
+}
 
 type outcome =
   | Solved of {
@@ -31,20 +21,7 @@ type outcome =
           (* mode=exact: the rational certificate recomputed from the
              witness cycle's integer sums (Verify.rational_certificate) *)
     }
-  | Approximate of {
-      lo : Ratio.t;
-      hi : Ratio.t;
-      cycle : int list;
-      eps : float;
-      scale : float;
-      components : int;
-      tests : int;
-      rounds : int;
-      certified : bool;
-      cached : bool;
-      fallback : bool;
-      verified : bool;
-    }
+  | Approximate of { cached : bool; impossible : Dyn_protocol.never }
   | Acyclic
   | Timeout of { partial : Ratio.t option; attempted : string list }
   | Rejected of string
@@ -114,55 +91,6 @@ let auto_portfolio g =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* the certified approximation lane                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One approx-lane answer: a certified interval around λ*.  Used for
-   algorithm=approx requests, and — with [fallback] — as the engine's
-   deadline fallback for Auto requests carrying approx-eps.  The lane
-   degrades to a sound (wider, uncertified) interval under budget
-   pressure instead of raising, so this path never times out. *)
-let solve_approx t ~inner_pool tel (req : Request.t) ~deadline_at ~fallback =
-  let spec = req.Request.spec in
-  let eps =
-    Option.value spec.Request.approx_eps ~default:Approx.default_eps
-  in
-  let budget =
-    Option.map
-      (fun deadline_at -> Budget.create ~now:t.now ~deadline_at ())
-      deadline_at
-  in
-  let stats = Stats.create () in
-  let t0 = t.now () in
-  match
-    Approx.solve ~stats ?budget ?pool:inner_pool
-      ~problem:spec.Request.problem ~objective:spec.Request.objective ~eps
-      req.Request.graph
-  with
-  | exception Invalid_argument msg -> Rejected msg
-  | None -> Acyclic
-  | Some cert ->
-    let wall_ms = (t.now () -. t0) *. 1000.0 in
-    Telemetry.record_ops tel stats;
-    Telemetry.record_run tel "approx" ~wall_ms;
-    Telemetry.add tel Telemetry.approx_iterations cert.Approx.rounds;
-    Approximate
-      {
-        lo = cert.Approx.lo;
-        hi = cert.Approx.hi;
-        cycle = cert.Approx.witness;
-        eps;
-        scale = cert.Approx.scale;
-        components = cert.Approx.components;
-        tests = cert.Approx.tests;
-        rounds = cert.Approx.rounds;
-        certified = cert.Approx.converged;
-        cached = false;
-        fallback;
-        verified = false;
-      }
-
-(* ------------------------------------------------------------------ *)
 (* fresh solve: per-SCC fan-out, portfolio, deadline                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -183,9 +111,6 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
   let deadline_at =
     Option.map (fun ms -> t.now () +. (ms /. 1000.0)) spec.Request.deadline_ms
   in
-  if spec.Request.algorithm = Request.Approx then
-    solve_approx t ~inner_pool tel req ~deadline_at ~fallback:false
-  else
   match Solver.preflight ~problem:spec.Request.problem req.Request.graph with
   | exception Invalid_argument msg -> Rejected msg
   | () ->
@@ -209,16 +134,13 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
       match spec.Request.algorithm with
       | Request.Fixed a -> [ (Registry.name a, None, runner_of a) ]
       | Request.Exact ->
-        (* direct dispatch (not through Registry.exact_lane) so the
-           linker keeps Stern_brocot — and its lane registration —
-           in every binary that links the engine *)
         let run =
           match spec.Request.problem with
           | Solver.Cycle_mean -> Stern_brocot.minimum_cycle_mean
           | Solver.Cycle_ratio -> Stern_brocot.minimum_cycle_ratio
         in
         [ ("exact", None, run) ]
-      | Request.Auto | Request.Approx ->
+      | Request.Auto ->
         List.map
           (fun (a, b) -> (Registry.name a, b, runner_of a))
           (auto_portfolio g_min)
@@ -264,24 +186,12 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
         | Some Budget.Iterations, _ ->
           Telemetry.record_blowout tel name ~wall_ms;
           go (name :: attempted) (fallbacks + 1) rest
-        | Some Budget.Deadline, partial -> (
-          match spec.Request.approx_eps with
-          | Some _ ->
-            (* the request opted in (approx-eps on an Auto request):
-               the exact lanes missed the deadline, so serve a
-               certified ε-interval instead of a timeout.  The
-               fallback runs undeadlined — the lane is near-linear
-               and bounded, and a second deadline here could only
-               turn a sound answer back into a timeout *)
-            solve_approx t ~inner_pool tel req ~deadline_at:None
-              ~fallback:true
-          | None ->
-            Timeout
-              {
-                partial =
-                  Option.map (fun r -> restore r.Solver.lambda) partial;
-                attempted = List.rev (name :: attempted);
-              }))
+        | Some Budget.Deadline, partial ->
+          Timeout
+            {
+              partial = Option.map (fun r -> restore r.Solver.lambda) partial;
+              attempted = List.rev (name :: attempted);
+            })
     in
     go [] 0 attempts
 
@@ -292,24 +202,6 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
 let certify (req : Request.t) lambda cycle =
   Verify.certify ~objective:req.Request.spec.Request.objective
     ~problem:req.Request.spec.Request.problem req.Request.graph lambda cycle
-
-let cert_of_approximate ~lo ~hi ~cycle ~eps ~scale ~components ~tests ~rounds
-    ~certified =
-  {
-    Approx.lo;
-    hi;
-    witness = cycle;
-    eps;
-    scale;
-    components;
-    tests;
-    rounds;
-    converged = certified;
-  }
-
-let recheck_approx (req : Request.t) cert =
-  Approx.recheck ~problem:req.Request.spec.Request.problem
-    ~objective:req.Request.spec.Request.objective req.Request.graph cert
 
 (* The exact-answer cross-check: on a mode=exact request, recompute λ
    from the witness cycle's integer sums and attach it as the rational
@@ -332,15 +224,6 @@ let verify_fresh req outcome =
   | Solved s when req.Request.spec.Request.verify -> (
     match certify req s.lambda s.cycle with
     | Ok () -> Solved { s with certified = true }
-    | Error e -> Rejected ("certificate FAILED: " ^ e))
-  | Approximate a when req.Request.spec.Request.verify -> (
-    match
-      recheck_approx req
-        (cert_of_approximate ~lo:a.lo ~hi:a.hi ~cycle:a.cycle ~eps:a.eps
-           ~scale:a.scale ~components:a.components ~tests:a.tests
-           ~rounds:a.rounds ~certified:a.certified)
-    with
-    | Ok () -> Approximate { a with verified = true }
     | Error e -> Rejected ("certificate FAILED: " ^ e))
   | o -> o
 
@@ -382,72 +265,33 @@ let count_outcome tel outcome =
     Telemetry.incr tel Telemetry.solved;
     if s.exact <> None then Telemetry.incr tel Telemetry.exact;
     count_cached tel s.cached
-  | Approximate a ->
-    Telemetry.incr tel Telemetry.approx;
-    count_cached tel a.cached
+  | Approximate _ -> .
   | Acyclic -> count_uncached tel Telemetry.acyclic
   | Timeout _ -> count_uncached tel Telemetry.timeouts
   | Rejected _ -> count_uncached tel Telemetry.rejected
 
-let entry_of_solved lambda cycle components algorithm cert =
-  E_exact
-    { e_lambda = lambda; e_cycle = cycle; e_components = components;
-      e_algorithm = algorithm; e_cert = cert }
-
-(* The cacheable image of an outcome.  Deadline-fallback certificates
-   are NOT cached: their key is the Auto one, and a later request with
-   the same key but a workable deadline (or none) deserves the exact
-   answer the portfolio can then produce. *)
+(* The cacheable image of an outcome: a fresh exact answer. *)
 let entry_of_outcome = function
   | Solved s when not s.cached ->
-    Some (entry_of_solved s.lambda s.cycle s.components s.algorithm s.exact)
-  | Approximate a when (not a.cached) && not a.fallback ->
     Some
-      (E_approx
-         {
-           a_lo = a.lo;
-           a_hi = a.hi;
-           a_cycle = a.cycle;
-           a_eps = a.eps;
-           a_scale = a.scale;
-           a_components = a.components;
-           a_tests = a.tests;
-           a_rounds = a.rounds;
-           a_converged = a.certified;
-         })
+      { e_lambda = s.lambda; e_cycle = s.cycle; e_components = s.components;
+        e_algorithm = s.algorithm; e_cert = s.exact }
   | _ -> None
 
 (* A cache entry as a cached outcome; [checked]: it was re-certified
    against the request's graph. *)
-let cached_outcome ~checked = function
-  | E_exact e ->
-    Solved
-      {
-        lambda = e.e_lambda;
-        cycle = e.e_cycle;
-        components = e.e_components;
-        algorithm = e.e_algorithm;
-        cached = true;
-        fallbacks = 0;
-        certified = checked;
-        exact = e.e_cert;
-      }
-  | E_approx a ->
-    Approximate
-      {
-        lo = a.a_lo;
-        hi = a.a_hi;
-        cycle = a.a_cycle;
-        eps = a.a_eps;
-        scale = a.a_scale;
-        components = a.a_components;
-        tests = a.a_tests;
-        rounds = a.a_rounds;
-        certified = a.a_converged;
-        cached = true;
-        fallback = false;
-        verified = checked;
-      }
+let cached_outcome ~checked e =
+  Solved
+    {
+      lambda = e.e_lambda;
+      cycle = e.e_cycle;
+      components = e.e_components;
+      algorithm = e.e_algorithm;
+      cached = true;
+      fallbacks = 0;
+      certified = checked;
+      exact = e.e_cert;
+    }
 
 (* Serve a request from a cache entry.  With [verify] the entry is
    re-certified against the request's actual graph — which doubles as
@@ -457,16 +301,7 @@ let from_cache tel (req : Request.t) entry =
   if not req.Request.spec.Request.verify then
     Some (cached_outcome ~checked:false entry)
   else
-    let check =
-      match entry with
-      | E_exact e -> certify req e.e_lambda e.e_cycle
-      | E_approx a ->
-        recheck_approx req
-          (cert_of_approximate ~lo:a.a_lo ~hi:a.a_hi ~cycle:a.a_cycle
-             ~eps:a.a_eps ~scale:a.a_scale ~components:a.a_components
-             ~tests:a.a_tests ~rounds:a.a_rounds ~certified:a.a_converged)
-    in
-    match check with
+    match certify req entry.e_lambda entry.e_cycle with
     | Ok () -> Some (cached_outcome ~checked:true entry)
     | Error _ ->
       Telemetry.incr tel Telemetry.collisions;
@@ -623,9 +458,9 @@ let run_batch t (reqs : Request.t list) =
             outcome
           | `Dup -> (
             (* only a cacheable result is mirrored to duplicates: a
-               timeout, rejection or fallback certificate is a property
-               of the *first* request (its deadline), not of the key,
-               so later occurrences solve on their own terms *)
+               timeout or rejection is a property of the *first*
+               request (its deadline), not of the key, so later
+               occurrences solve on their own terms *)
             match entry_of_outcome (Hashtbl.find resolved key) with
             | Some e -> (
               match from_cache tel req e with
@@ -683,16 +518,7 @@ let response_line ?(wall = false) r =
       (Printf.sprintf " alg=%s components=%d fallbacks=%d cached=%b"
          s.algorithm s.components s.fallbacks s.cached);
     if s.certified then Buffer.add_string b " certificate=ok"
-  | Approximate a ->
-    Buffer.add_string b
-      (Printf.sprintf
-         " status=approx lambda_lo=%s lambda_hi=%s lo_float=%.6f \
-          hi_float=%.6f eps=%g certified=%b components=%d fallback=%b \
-          cached=%b"
-         (Ratio.to_string a.lo) (Ratio.to_string a.hi) (Ratio.to_float a.lo)
-         (Ratio.to_float a.hi) a.eps a.certified a.components a.fallback
-         a.cached);
-    if a.verified then Buffer.add_string b " certificate=ok"
+  | Approximate _ -> .
   | Acyclic -> Buffer.add_string b " status=acyclic"
   | Timeout { partial; attempted } ->
     Buffer.add_string b

@@ -19,37 +19,14 @@
     all attempts and SCC subtasks; exceeding it yields [Timeout] with
     the best partial result over completed components. *)
 
-type cache_entry =
-  | E_exact of {
-      e_lambda : Ratio.t;
-      e_cycle : int list;
-      e_components : int;
-      e_algorithm : string;
-      e_cert : Ratio.t option;
-          (** the mode=exact rational certificate, when one was computed;
-              kept in the entry because exact and float answers live
-              under distinct cache keys ([Request.key.kmode]) *)
-    }
-  | E_approx of {
-      a_lo : Ratio.t;
-      a_hi : Ratio.t;
-      a_cycle : int list;
-      a_eps : float;
-      a_scale : float;
-      a_components : int;
-      a_tests : int;
-      a_rounds : int;
-      a_converged : bool;
-    }
-
 type outcome =
   | Solved of {
       lambda : Ratio.t;  (** optimum, in the request's objective sign *)
       cycle : int list;  (** witness cycle, arc ids of the request graph *)
       components : int;  (** nontrivial SCCs examined *)
       algorithm : string;
-          (** the algorithm that produced it — a {!Registry.name}, or a
-              lane name such as ["exact"] *)
+          (** the algorithm that produced it — a {!Registry.name}, or
+              ["exact"] for the Stern–Brocot search *)
       cached : bool;  (** served from the LRU / batch dedup *)
       fallbacks : int;  (** portfolio steps taken past the first *)
       certified : bool;  (** [Verify.certify] passed (verify requests) *)
@@ -59,23 +36,11 @@ type outcome =
               ({!Verify.rational_certificate}), never from the solver's
               iterate.  Always canonical: [den > 0], [gcd = 1]. *)
     }
-  | Approximate of {
-      lo : Ratio.t;  (** certified: [lo <= λ* <= hi], objective sign *)
-      hi : Ratio.t;
-      cycle : int list;  (** witness attaining the achievable endpoint *)
-      eps : float;  (** requested relative tolerance *)
-      scale : float;  (** width target was [eps·scale] *)
-      components : int;
-      tests : int;  (** binary-search λ-tests *)
-      rounds : int;  (** value-iteration rounds *)
-      certified : bool;  (** width target reached (budget didn't cut in) *)
-      cached : bool;
-      fallback : bool;  (** served by the Auto deadline fallback *)
-      verified : bool;  (** witness recheck passed (verify requests) *)
-    }
-      (** a certified ε-interval from the approx lane: algorithm=approx
-          requests, or Auto requests with approx-eps whose deadline the
-          exact portfolio missed *)
+  | Approximate of { cached : bool; impossible : Dyn_protocol.never }
+      (** Uninhabited: nothing builds it, and a match refutes it with
+          [| Approximate _ -> .].  It stays only because the benchmark
+          harness (bench/e2e/replay.ml, [serve_one]) matches
+          [Approximate { cached = true; _ }]. *)
   | Acyclic  (** no cycle exists; mirrors [ocr solve] exit 2 *)
   | Timeout of { partial : Ratio.t option; attempted : string list }
       (** deadline fired; [partial] is the best bound over completed

@@ -1,9 +1,8 @@
-type algorithm_choice = Auto | Fixed of Registry.algorithm | Approx | Exact
+type algorithm_choice = Auto | Fixed of Registry.algorithm | Exact
 
 let algorithm_choice_name = function
   | Auto -> "auto"
   | Fixed a -> Registry.name a
-  | Approx -> "approx"
   | Exact -> "exact"
 
 type mode = Float_answer | Exact_answer
@@ -16,7 +15,6 @@ type spec = {
   objective : Solver.objective;
   algorithm : algorithm_choice;
   mode : mode;
-  approx_eps : float option;
   deadline_ms : float option;
   verify : bool;
   trace : int;
@@ -32,7 +30,6 @@ let default_spec path =
     objective = Solver.Minimize;
     algorithm = Auto;
     mode = Float_answer;
-    approx_eps = None;
     deadline_ms = None;
     verify = false;
     trace = 0;
@@ -48,7 +45,6 @@ type key = {
   kobjective : Solver.objective;
   kalgorithm : algorithm_choice;
   kmode : mode;
-  keps : float option;
 }
 
 let key_of fp spec =
@@ -58,7 +54,6 @@ let key_of fp spec =
     kobjective = spec.objective;
     kalgorithm = spec.algorithm;
     kmode = spec.mode;
-    keps = spec.approx_eps;
   }
 
 let key r = key_of (Fingerprint.of_graph r.graph) r.spec
@@ -96,38 +91,19 @@ let parse_kv spec token =
     | ("objective" | "obj" | "o"), _ ->
       Error (Printf.sprintf "objective must be min or max, got %S" v)
     | ("algorithm" | "alg" | "a"), "auto" -> Ok { spec with algorithm = Auto }
+    | ("algorithm" | "alg" | "a"), "exact" -> Ok { spec with algorithm = Exact }
     | ("algorithm" | "alg" | "a"), name -> (
       match Registry.of_name name with
       | Some a -> Ok { spec with algorithm = Fixed a }
-      | None -> (
-        (* lanes register by name at module init: the "approx" interval
-           lane (Registry.register_lane) and the "exact" Stern–Brocot
-           lane (Registry.register_exact_lane) *)
-        match Registry.lane name with
-        | Some _ -> Ok { spec with algorithm = Approx }
-        | None -> (
-          match Registry.exact_lane name with
-          | Some _ -> Ok { spec with algorithm = Exact }
-          | None ->
-            Error
-              (Printf.sprintf
-                 "unknown algorithm %S (expected auto%s or one of: %s)" v
-                 (match Registry.lane_names () @ Registry.exact_lane_names () with
-                 | [] -> ""
-                 | lanes -> ", " ^ String.concat ", " lanes)
-                 (String.concat ", " (List.map Registry.name Registry.all))))))
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown algorithm %S (expected auto, exact or one of: %s)" v
+             (String.concat ", " (List.map Registry.name Registry.all))))
     | "mode", "float" -> Ok { spec with mode = Float_answer }
     | "mode", "exact" -> Ok { spec with mode = Exact_answer }
     | "mode", _ ->
       Error (Printf.sprintf "mode must be float or exact, got %S" v)
-    | ("approx-eps" | "eps"), _ -> (
-      match float_of_string_opt v with
-      | Some e when Float.is_finite e && e > 0.0 ->
-        Ok { spec with approx_eps = Some e }
-      | _ ->
-        Error
-          (Printf.sprintf "approx-eps must be a positive finite float, got %S"
-             v))
     | ("deadline-ms" | "deadline"), _ -> (
       match float_of_string_opt v with
       | Some ms when ms >= 0.0 -> Ok { spec with deadline_ms = Some ms }
@@ -146,7 +122,7 @@ let parse_kv spec token =
       Error
         (Printf.sprintf
            "unknown key %S (expected problem, objective, algorithm, mode, \
-            approx-eps, deadline-ms, verify or trace)"
+            deadline-ms, verify or trace)"
            k))
 
 let parse_spec line =
@@ -161,43 +137,11 @@ let parse_spec line =
     if String.contains path '=' then
       Error (Printf.sprintf "first token must be the graph file, got %S" path)
     else
-      let* spec =
-        List.fold_left
-          (fun acc token ->
-            let* spec = acc in
-            parse_kv spec token)
-          (Ok (default_spec path)) rest
-      in
-      (* eps only means something where an approximate answer can come
-         back: the approx lane itself, or auto's deadline fallback *)
-      let* spec =
-        match (spec.algorithm, spec.approx_eps) with
-        | Fixed a, Some _ ->
-          Error
-            (Printf.sprintf
-               "approx-eps does not apply to exact algorithm %S (use \
-                algorithm=approx or algorithm=auto)"
-               (Registry.name a))
-        | Exact, Some _ ->
-          Error
-            "approx-eps does not apply to the exact lane (use \
-             algorithm=approx or algorithm=auto)"
-        | _ -> Ok spec
-      in
-      (* an exact rational certificate requires a single attained λ*:
-         interval answers (the approx lane, or auto's eps deadline
-         fallback) carry none, so the combinations are rejected here
-         with a structured error rather than failing mid-solve *)
-      (match (spec.mode, spec.algorithm, spec.approx_eps) with
-      | Exact_answer, Approx, _ ->
-        Error
-          "mode=exact does not apply to algorithm=approx (an interval \
-           answer has no single rational certificate)"
-      | Exact_answer, _, Some _ ->
-        Error
-          "mode=exact does not apply to approx-eps requests (the deadline \
-           fallback would answer an interval, not a certificate)"
-      | _ -> Ok spec)
+      List.fold_left
+        (fun acc token ->
+          let* spec = acc in
+          parse_kv spec token)
+        (Ok (default_spec path)) rest
 
 let spec_to_string s =
   let opts = [] in
@@ -213,11 +157,6 @@ let spec_to_string s =
     | None -> opts
   in
   let opts =
-    match s.approx_eps with
-    | Some e -> Printf.sprintf "approx-eps=%g" e :: opts
-    | None -> opts
-  in
-  let opts =
     match s.mode with
     | Float_answer -> opts
     | Exact_answer -> "mode=exact" :: opts
@@ -226,7 +165,6 @@ let spec_to_string s =
     match s.algorithm with
     | Auto -> opts
     | Fixed a -> Printf.sprintf "algorithm=%s" (Registry.name a) :: opts
-    | Approx -> "algorithm=approx" :: opts
     | Exact -> "algorithm=exact" :: opts
   in
   let opts =

@@ -11,27 +11,18 @@
     {v <graph-file> [key=value ...] v}
 
     with keys [problem=mean|ratio], [objective=min|max],
-    [algorithm=auto|approx|exact|<name>], [mode=float|exact],
-    [approx-eps=<float>], [deadline-ms=<float>], [verify=true|false],
-    [trace=<id>] (tracing context, stamped by the cluster router);
-    omitted keys default to [problem=mean objective=min algorithm=auto
-    mode=float verify=false] and no deadline.  [approx-eps] must be
-    positive and finite, and is only accepted with [algorithm=approx]
-    (the tolerance of the certified lane) or [algorithm=auto] (opting
-    the request into the engine's deadline fallback: a certified
-    ε-interval instead of a timeout).  [mode=exact] asks for the exact
-    rational answer [lambda_num=/lambda_den=] alongside the float; it
-    is rejected with [algorithm=approx] or [approx-eps] (an interval
-    answer carries no single rational certificate).  Blank lines and
+    [algorithm=auto|exact|<name>], [mode=float|exact],
+    [deadline-ms=<float>], [verify=true|false], [trace=<id>] (tracing
+    context, stamped by the cluster router); omitted keys default to
+    [problem=mean objective=min algorithm=auto mode=float verify=false]
+    and no deadline.  [mode=exact] asks for the exact rational answer
+    [lambda_num=/lambda_den=] alongside the float.  Blank lines and
     [#] comments are the caller's concern. *)
 
 type algorithm_choice =
   | Auto
   | Fixed of Registry.algorithm
-  | Approx  (** the certified ε-interval lane ({!Registry.lane} "approx") *)
-  | Exact
-      (** the Stern–Brocot exact lane
-          ({!Registry.exact_lane} "exact") *)
+  | Exact  (** the Stern–Brocot mediant search ({!Stern_brocot}) *)
 
 val algorithm_choice_name : algorithm_choice -> string
 
@@ -50,9 +41,6 @@ type spec = {
   objective : Solver.objective;
   algorithm : algorithm_choice;
   mode : mode;
-  approx_eps : float option;
-      (** tolerance for [Approx] requests and [Auto] deadline fallback;
-          [None] means {!Approx.default_eps} where one is needed *)
   deadline_ms : float option;
   verify : bool;
   trace : int;
@@ -80,10 +68,9 @@ type key = {
   kobjective : Solver.objective;
   kalgorithm : algorithm_choice;
   kmode : mode;
-  keps : float option;
 }
 (** Cache identity: structural fingerprint × problem × objective ×
-    algorithm choice × answer mode × approx tolerance.  The answer
+    algorithm choice × answer mode.  The answer
     mode is part of the key so exact answers (which carry a rational
     certificate) never alias float answers.  The deadline and verify
     flag are deliberately excluded — a cached result is served

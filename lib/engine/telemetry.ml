@@ -54,8 +54,6 @@ let acyclic = row "ocr_acyclic_total" Count
 let timeouts = row "ocr_timeouts_total" Count
 let rejected = row "ocr_rejected_total" Count
 let fallbacks = row "ocr_fallbacks_total" Portfolio
-let approx = row "ocr_approx_total" Count
-let approx_iterations = row "ocr_approx_iterations" Count
 let exact = row "ocr_exact_total" Count
 let latency = row ~key:"wall_ms" "ocr_solve_latency_ms" Ms
 let _ = row "ocr_ops_iterations_total" (Op (fun s -> s.Stats.iterations))
@@ -174,10 +172,8 @@ let sorted_algs t =
 let pp_summary ppf t =
   let v = value t in
   Format.fprintf ppf
-    "requests=%d solved=%d approx=%d exact=%d acyclic=%d timeouts=%d \
-     rejected=%d@,"
-    (v requests) (v solved) (v approx) (v exact) (v acyclic) (v timeouts)
-    (v rejected);
+    "requests=%d solved=%d exact=%d acyclic=%d timeouts=%d rejected=%d@,"
+    (v requests) (v solved) (v exact) (v acyclic) (v timeouts) (v rejected);
   Format.fprintf ppf "cache: hits=%d misses=%d collisions=%d hit-rate=%.2f@,"
     (v cache_hits) (v cache_misses) (v collisions) (hit_rate t);
   Format.fprintf ppf "portfolio: fallbacks=%d" (v fallbacks);
@@ -221,19 +217,13 @@ let to_csv t =
     (sorted_algs t);
   Buffer.contents b
 
-(* The JSON nests each algorithm's rows in one object of the
-   "algorithms" array, keyed without their "alg_*_" part, and leaves
-   out the operation counts: its shape is pinned by the engine cram
-   test. *)
+(* The JSON lists the rows the CSV lists, nesting each algorithm's
+   rows in one object of the "algorithms" array, keyed without their
+   "alg_*_" part. *)
 let to_json t =
   let field k v = Obs.json_string k ^ ": " ^ v in
   let scalars =
-    List.filter_map
-      (fun r ->
-        match r.kind with
-        | Op _ -> None
-        | _ -> Some (field r.key (cell_text t.cells.(r.idx))))
-      file_rows
+    List.map (fun r -> field r.key (cell_text t.cells.(r.idx))) file_rows
   in
   let alg (name, c) =
     let inner r =

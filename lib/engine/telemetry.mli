@@ -48,12 +48,6 @@ val rejected : row
 val fallbacks : row
 (** portfolio steps taken past the first *)
 
-val approx : row
-(** approx-lane answers, direct or deadline fallback *)
-
-val approx_iterations : row
-(** value-iteration rounds in the lane *)
-
 val exact : row
 (** answers carrying an exact rational certificate *)
 
@@ -115,4 +109,4 @@ val to_csv : t -> string
 
 val to_json : t -> string
 (** The same, as one object, with each algorithm's rows nested in the
-    ["algorithms"] array; the [Op] rows are left out. *)
+    ["algorithms"] array. *)

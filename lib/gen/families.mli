@@ -43,9 +43,8 @@ val low_diameter :
 (** Strongly connected expander-style graph of [n] nodes whose hop
     radius concentrates around [diameter]: a Hamiltonian ring plus
     [d − 1] uniform random chords per node, with out-degree
-    [d = max 2 ⌈n^(1/diameter)⌉].  The regime where truncated value
-    iteration shines — short cycles reach every node in few rounds —
-    which is what bench E17 sweeps against the exact lane.
+    [d = max 2 ⌈n^(1/diameter)⌉].  The property tests draw from it for
+    dense instances with many short cycles.
     @raise Invalid_argument if [n < 2] or [diameter < 1]. *)
 
 val two_cycles : len1:int -> w1:int -> len2:int -> w2:int -> Digraph.t

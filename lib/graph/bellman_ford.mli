@@ -36,7 +36,7 @@ val run : ?on_relax:(unit -> unit) -> 'd costs -> Digraph.t -> 'd outcome
 val cycle_in_pred_graph : Digraph.t -> int array -> int list option
 (** Searches a predecessor graph ([pred_arc.(v)] is the arc last used
     to improve [v], or [-1]) for a cycle and returns its arcs in path
-    order.  For any label-correcting relaxation scheme — the FIFO
-    engine here, or the approx lane's synchronous value-iteration
-    rounds — a cycle of the predecessor graph is a negative cycle
-    (Cherkassky & Goldberg), so a hit is a sound certificate.  O(n). *)
+    order.  For any label-correcting relaxation scheme, such as the
+    FIFO engine here, a cycle of the predecessor graph is a negative
+    cycle (Cherkassky & Goldberg), so a hit is a sound certificate.
+    O(n). *)

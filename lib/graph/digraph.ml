@@ -238,7 +238,6 @@ module Unsafe = struct
     g.arc_transit_f.{a} <- float_of_int tt
 
   let out_csr g = (g.out_start, g.out_arcs)
-  let in_csr g = (g.in_start, g.in_arcs)
   let srcs g = g.arc_src
   let dsts g = g.arc_dst
   let weights g = g.arc_weight

@@ -132,14 +132,6 @@ module Unsafe : sig
       Being Bigarrays, they may be read concurrently from any
       domain. *)
 
-  val in_csr : t -> int_array1 * int_array1
-  (** [(start, arcs)]: the internal reverse-CSR adjacency — the in-arcs
-      of node [v] are [arcs.{start.{v}} .. arcs.{start.{v+1} - 1}].
-      Same storage rules as {!out_csr}: read-only, safe to read from
-      any domain.  The natural layout for gather-style kernels that
-      compute each node's value from its predecessors (the approx
-      lane's value-iteration sweep). *)
-
   val srcs : t -> int_array1
   (** The internal arc-tail array ([srcs.{a} = src g a]); read-only. *)
 

@@ -15,7 +15,7 @@ set -eu
 run() { dune exec bench/main.exe -- "$@"; }
 gate() { dune exec bench/check_regress.exe -- "$@"; }
 
-for e in 1 11 12 13 14 15 16 17 18 19 20; do
+for e in 1 11 12 13 14 15 16 18 19 20; do
   run --only "E$e" --seeds 1 --bench-json "bench-e$e.json"
 done
 
@@ -42,7 +42,6 @@ gate \
   BENCH_pr7.json bench-e14.json \
   BENCH_pr5.json bench-e15.json \
   BENCH_pr6.json bench-e16.json \
-  BENCH_pr8.json bench-e17.json \
   BENCH_pr9.json bench-e18.json \
   BENCH_pr10.json bench-e19.json \
   BENCH_pr17.json bench-e20.json \

@@ -26,9 +26,6 @@ waitlog() {
 }
 
 "$OCR" gen sprand 64 192 --seed 7 --output g.ocr >/dev/null
-# one-shot solves are routed by graph fingerprint: g.ocr lands on
-# worker 1 and this ring on worker 0, so both workers serve traffic and
-# expose the per-worker histograms checked below
 "$OCR" gen ring 4 --output r.ocr >/dev/null
 
 mkfifo req

@@ -5,9 +5,9 @@ let test_scaled_cost () =
   let lambda = Helpers.r 3 2 in
   (* cost = 2·w − 3·t *)
   Alcotest.(check int) "arc 0" ((2 * 7) - (3 * 3))
-    (Critical.scaled_cost g ~den:(Digraph.transit g) lambda 0);
+    (Critical.scaled_costs g ~den:(Digraph.transit g) lambda).(0);
   Alcotest.(check int) "arc 1 (mean)" ((2 * 5) - 3)
-    (Critical.scaled_cost g ~den:den1 lambda 1)
+    (Critical.scaled_costs g ~den:den1 lambda).(1)
 
 let test_ratio_of_cycle () =
   let g = Digraph.of_arcs 2 [ (0, 1, 7, 3); (1, 0, 5, 2) ] in

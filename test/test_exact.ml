@@ -1,4 +1,4 @@
-(* Exact-answer mode: the Stern–Brocot lane, the rational certificate
+(* Exact-answer mode: the Stern–Brocot search, the rational certificate
    cross-check, mode=exact request parsing, and the headline property —
    every float-mode answer on integer-weight inputs sits within 1 ulp
    of the exact rational certificate, across all generator families ×
@@ -21,16 +21,8 @@ let spec_of ?(algorithm = Request.Auto) ?(mode = Request.Float_answer)
   }
 
 (* ------------------------------------------------------------------ *)
-(* lane registration and direct Stern–Brocot answers                   *)
+(* direct Stern–Brocot answers                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_lane_registered () =
-  Alcotest.(check bool)
-    "exact lane registered" true
-    (Registry.exact_lane "exact" <> None);
-  Alcotest.(check bool)
-    "listed" true
-    (List.mem "exact" (Registry.exact_lane_names ()))
 
 let test_sb_direct () =
   (* 0 -3-> 1 -4-> 0: the only cycle has mean 7/2 *)
@@ -76,11 +68,9 @@ let test_parse_exact () =
     Alcotest.(check bool) "lane parsed" true (s.Request.algorithm = Request.Exact)
   | Error e -> Alcotest.fail e);
   let bad l = Result.is_error (Request.parse_spec l) in
-  Alcotest.(check bool) "mode=exact algorithm=approx" true
+  Alcotest.(check bool) "algorithm=approx is unknown" true
     (bad "g.ocr mode=exact algorithm=approx");
-  Alcotest.(check bool) "mode=exact approx-eps" true
-    (bad "g.ocr mode=exact approx-eps=0.1");
-  Alcotest.(check bool) "algorithm=exact approx-eps" true
+  Alcotest.(check bool) "approx-eps is an unknown key" true
     (bad "g.ocr algorithm=exact approx-eps=0.1");
   Alcotest.(check bool) "malformed mode" true (bad "g.ocr mode=banana");
   (* spec_to_string round-trips the new keys *)
@@ -249,7 +239,6 @@ let qcheck_exact_lines_jobs_identical =
 
 let suite =
   [
-    Alcotest.test_case "exact lane registered" `Quick test_lane_registered;
     Alcotest.test_case "stern_brocot direct" `Quick test_sb_direct;
     Alcotest.test_case "mode=exact parsing" `Quick test_parse_exact;
     Alcotest.test_case "exact/float cache keys distinct" `Quick

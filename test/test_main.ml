@@ -21,7 +21,6 @@ let () =
       ("howard-kernel", Test_howard_kernel.suite);
       ("verify", Test_verify.suite);
       ("generators", Test_gen.suite);
-      ("approx", Test_approx.suite);
       ("exact", Test_exact.suite);
       ("engine", Test_engine.suite);
       ("file-table", Test_file_table.suite);
