@@ -24,6 +24,36 @@ let spec_of ?(algorithm = Request.Auto) ?(mode = Request.Float_answer)
 (* direct Stern–Brocot answers                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* algorithm=exact is a routing choice of its own: in float mode it
+   still runs Stern–Brocot (no certificate attached), and on an acyclic
+   graph it answers Acyclic like every other algorithm. *)
+let test_exact_algorithm_routing () =
+  let ring4 =
+    Digraph.of_arcs 4 (List.init 4 (fun i -> (i, (i + 1) mod 4, 1, 1)))
+  in
+  let acyclic = Digraph.of_arcs 2 [ (0, 1, 3, 1) ] in
+  let spec =
+    spec_of ~algorithm:Request.Exact ~problem:Solver.Cycle_mean
+      ~objective:Solver.Minimize ()
+  in
+  with_engine ~jobs:1 (fun eng ->
+      (match
+         (Engine.solve eng (Request.make ~id:1 ~graph:ring4 spec))
+           .Engine.outcome
+       with
+      | Engine.Solved s ->
+        Helpers.check_ratio "float-mode lambda" Ratio.one s.lambda;
+        Alcotest.(check string) "answered by" "exact" s.algorithm;
+        Alcotest.(check bool) "no cert in float mode" true (s.exact = None)
+      | _ -> Alcotest.fail "ring: expected Solved");
+      let espec = { spec with Request.mode = Request.Exact_answer } in
+      match
+        (Engine.solve eng (Request.make ~id:2 ~graph:acyclic espec))
+          .Engine.outcome
+      with
+      | Engine.Acyclic -> ()
+      | _ -> Alcotest.fail "acyclic: expected Acyclic")
+
 let test_sb_direct () =
   (* 0 -3-> 1 -4-> 0: the only cycle has mean 7/2 *)
   let g = Digraph.of_arcs 2 [ (0, 1, 3, 1); (1, 0, 4, 1) ] in
@@ -239,6 +269,8 @@ let qcheck_exact_lines_jobs_identical =
 
 let suite =
   [
+    Alcotest.test_case "algorithm=exact routing" `Quick
+      test_exact_algorithm_routing;
     Alcotest.test_case "stern_brocot direct" `Quick test_sb_direct;
     Alcotest.test_case "mode=exact parsing" `Quick test_parse_exact;
     Alcotest.test_case "exact/float cache keys distinct" `Quick
