@@ -1279,11 +1279,7 @@ let e16 _cfg =
       (try
          while true do
            let line = input_line ic in
-           if
-             String.length line > 0
-             && line.[0] = '{'
-             && String.length line >= 21
-             && String.sub line 0 21 = {|{"ok":false,"err":"ov|}
+           if String.ends_with ~suffix:{|status=error msg="overloaded"|} line
            then incr shed
          done
        with End_of_file -> ());

@@ -569,7 +569,8 @@ let cluster_cmd =
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
             "Per-worker in-flight bound.  Requests routed to a full worker \
-             are shed with {\"ok\":false,\"err\":\"overloaded\",...}.")
+             are shed with req=N file=F status=error msg=\"overloaded\" \
+             (session ops: {\"session\":ID,\"ok\":false,\"error\":\"overloaded\"}).")
   in
   let request_timeout_arg =
     Arg.(

@@ -18,17 +18,6 @@ type t = {
   mutable next_id : int; (* serve request ids, worker-local *)
 }
 
-let reply oc line =
-  output_string oc line;
-  output_char oc '\n';
-  flush oc
-
-let error_line msg = Njson.obj [ ("ok", "false"); ("error", Njson.escape msg) ]
-
-let session_error sid msg =
-  Njson.obj
-    [ ("session", Njson.escape sid); ("ok", "false"); ("error", Njson.escape msg) ]
-
 (* splice the session id into a `{...}` reply from the stream protocol *)
 let inject_session sid json_line =
   if String.length json_line > 0 && json_line.[0] = '{' then
@@ -59,13 +48,13 @@ let metrics_line t =
 
 let handle_open t fields =
   match Njson.field_string fields "session" with
-  | None -> error_line "open: missing session field"
+  | None -> Dyn_protocol.error_line "open: missing session field"
   | Some sid -> (
     if Hashtbl.mem t.sessions sid then
-      session_error sid ("session already open: " ^ sid)
+      Dyn_protocol.error_line ~session:sid ("session already open: " ^ sid)
     else
       match Njson.field_string fields "graph" with
-      | None -> session_error sid "open: missing graph field"
+      | None -> Dyn_protocol.error_line ~session:sid "open: missing graph field"
       | Some path -> (
         let problem =
           match Njson.field_string fields "problem" with
@@ -80,10 +69,11 @@ let handle_open t fields =
           | Some other -> Error ("open: unknown objective " ^ other)
         in
         match (problem, objective) with
-        | Error e, _ | _, Error e -> session_error sid e
+        | Error e, _ | _, Error e -> Dyn_protocol.error_line ~session:sid e
         | Ok problem, Ok objective -> (
           match Graph_io.load path with
-          | exception (Sys_error e | Failure e) -> session_error sid e
+          | exception (Sys_error e | Failure e) ->
+            Dyn_protocol.error_line ~session:sid e
           | g ->
             let dyn = Dyn.create ~problem ~objective ?pool:t.pool g in
             let srv = Dyn_serve.create ~cache_size:t.cache_size dyn in
@@ -108,24 +98,24 @@ let close_session t s =
 
 let handle_json t line =
   match Njson.parse_flat line with
-  | Error e -> error_line ("bad json: " ^ e)
+  | Error e -> Dyn_protocol.error_line ("bad json: " ^ e)
   | Ok fields -> (
     match Njson.field_string fields "op" with
-    | None -> error_line "missing string field \"op\""
+    | None -> Dyn_protocol.error_line "missing string field \"op\""
     | Some "open" -> handle_open t fields
     | Some "close" -> (
       match Njson.field_string fields "session" with
-      | None -> error_line "close: missing session field"
+      | None -> Dyn_protocol.error_line "close: missing session field"
       | Some sid -> (
         match Hashtbl.find_opt t.sessions sid with
-        | None -> session_error sid ("unknown session: " ^ sid)
+        | None -> Dyn_protocol.error_line ~session:sid ("unknown session: " ^ sid)
         | Some s -> close_session t s))
     | Some _ -> (
       match Njson.field_string fields "session" with
-      | None -> error_line "missing session field"
+      | None -> Dyn_protocol.error_line "missing session field"
       | Some sid -> (
         match Hashtbl.find_opt t.sessions sid with
-        | None -> session_error sid ("unknown session: " ^ sid)
+        | None -> Dyn_protocol.error_line ~session:sid ("unknown session: " ^ sid)
         | Some s -> (
           (* the stream codec ignores the extra "session" field, so the
              raw line is forwarded untouched *)
@@ -177,10 +167,10 @@ let run ?(wall = false) ?(jobs = 1) ?(cache_size = 256) ?trace_file ~worker_id
           if line = "" || line.[0] = '#' then ()
           else if line = "quit" then raise Exit
           else if line = "ping" then
-            reply oc
+            Serve_loop.out_line oc
               (Njson.obj
                  [ ("ok", "true"); ("pong", string_of_int t.worker_id) ])
-          else if line = "metrics" then reply oc (metrics_line t)
+          else if line = "metrics" then Serve_loop.out_line oc (metrics_line t)
           else if String.length line > 5 && String.sub line 0 5 = "sync " then begin
             (* clock-offset handshake: the router sends its now_ns right
                after spawning us; the difference to our clock (offset the
@@ -191,21 +181,18 @@ let run ?(wall = false) ?(jobs = 1) ?(cache_size = 256) ?trace_file ~worker_id
             | Some router_ns ->
               Trace.set_clock_offset_ns (router_ns - Obs.now_ns ())
             | None -> ());
-            reply oc
+            Serve_loop.out_line oc
               (Njson.obj
                  [ ("ok", "true"); ("sync", string_of_int t.worker_id) ])
           end
           else if line.[0] = '{' then
-            reply oc
+            Serve_loop.out_line oc
               (try handle_json t line
-               with e -> error_line (Printexc.to_string e))
+               with e -> Dyn_protocol.error_line (Printexc.to_string e))
           else begin
             t.next_id <- t.next_id + 1;
-            reply oc
-              (try Serve_loop.handle_request ~wall:t.wall eng ~id:t.next_id line
-               with e ->
-                 Printf.sprintf "req=%d status=error msg=%S" t.next_id
-                   (Printexc.to_string e))
+            Serve_loop.out_line oc
+              (Serve_loop.handle_request ~wall:t.wall eng ~id:t.next_id line)
           end
         done
       with End_of_file | Exit -> ())

@@ -58,6 +58,7 @@ type collector = {
    access-log and trace attribution agree by construction) *)
 type solve_meta = {
   sm_gid : int;  (* global request id; rewrite req=<local> on reply *)
+  sm_path : string;  (* the graph file, named in a router-made error *)
   sm_trace : int;  (* trace id propagated to the worker; 0 = tracing off *)
   sm_worker : int;
   sm_key : int;  (* shard key (graph fingerprint hash) *)
@@ -138,17 +139,22 @@ let sp_reply = Obs.intern "rt.reply"
 let sp_done = Obs.intern "rt.done"
 let sp_replay = Obs.intern "rt.replay"
 
-let out_line t line =
-  output_string t.client_oc line;
-  output_char t.client_oc '\n';
-  flush t.client_oc
-
+let out_line t line = Serve_loop.out_line t.client_oc line
 let log_err fmt = Printf.ksprintf prerr_endline ("ocr cluster: " ^^ fmt)
 
+(* substring test by character comparison: it runs on every session
+   reply, so it allocates nothing *)
 let contains line pat =
-  let n = String.length line and k = String.length pat in
-  let rec go i = i + k <= n && (String.sub line i k = pat || go (i + 1)) in
-  go 0
+  let k = String.length pat and last = String.length line - String.length pat in
+  let i = ref 0 and j = ref 0 in
+  while !j < k && !i <= last do
+    if line.[!i + !j] = pat.[!j] then incr j
+    else begin
+      incr i;
+      j := 0
+    end
+  done;
+  !j = k
 
 (* update replies are flat objects, so a literal "ok":true can only
    be the status field *)
@@ -163,10 +169,7 @@ let access_write t line =
   match t.access with
   | None -> ()
   | Some oc -> (
-    try
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
+    try Serve_loop.out_line oc line
     with Sys_error e ->
       (* same contract as the metrics_file guard: log and disable,
          the router stays up *)
@@ -192,20 +195,26 @@ let access_solve_line sm ~status ~cached ~reply_ns ~done_ns =
       ("status", Njson.escape status);
     ]
 
-let access_fail_line ~trace ~gid ~worker ~key ~queue ~status =
-  Njson.obj
-    [
-      ("trace", string_of_int trace);
-      ("req", string_of_int gid);
-      ("worker", string_of_int worker);
-      ("key", string_of_int key);
-      ("queue", string_of_int queue);
-      ("status", Njson.escape status);
-    ]
-
-let session_err sid msg =
-  Njson.obj
-    [ ("session", Njson.escape sid); ("ok", "false"); ("err", Njson.escape msg) ]
+(* a solve the router answers itself (a line no engine accepts, a
+   shed, no worker up, a worker death): the serve error line, the trace
+   span closed, and one access-log line without phase fields whose
+   status defaults to the message *)
+let refuse_solve t ~trace ~gid ?file ?status ~worker ~key ~queue msg =
+  out_line t (Serve_loop.error_reply ~id:gid ?file msg);
+  if trace <> 0 then begin
+    Trace.instant_id sp_done trace;
+    Trace.end_span_id sp_request trace
+  end;
+  access_write t
+    (Njson.obj
+       [
+         ("trace", string_of_int trace);
+         ("req", string_of_int gid);
+         ("worker", string_of_int worker);
+         ("key", string_of_int key);
+         ("queue", string_of_int queue);
+         ("status", Njson.escape (Option.value status ~default:msg));
+       ])
 
 (* is this stream op one that mutates the overlay (and so must be
    replayed onto a replacement worker)? *)
@@ -383,24 +392,16 @@ let rec handle_worker_down t w =
 and fail_pending t p =
   match p.kind with
   | Solve sm ->
-    out_line t
-      (Printf.sprintf "{\"ok\":false,\"err\":\"worker died\",\"req\":%d}"
-         sm.sm_gid);
-    if sm.sm_trace <> 0 then begin
-      Trace.instant_id sp_done sm.sm_trace;
-      Trace.end_span_id sp_request sm.sm_trace
-    end;
-    access_write t
-      (access_fail_line ~trace:sm.sm_trace ~gid:sm.sm_gid
-         ~worker:sm.sm_worker ~key:sm.sm_key ~queue:sm.sm_queue_at
-         ~status:"worker died")
-  | Session_op { sid; _ } -> out_line t (session_err sid "worker died")
+    refuse_solve t ~trace:sm.sm_trace ~gid:sm.sm_gid ~file:sm.sm_path
+      ~worker:sm.sm_worker ~key:sm.sm_key ~queue:sm.sm_queue_at "worker died"
+  | Session_op { sid; _ } ->
+    out_line t (Dyn_protocol.error_line ~session:sid "worker died")
   | Open_op sid ->
     Hashtbl.remove t.sessions sid;
-    out_line t (session_err sid "worker died")
+    out_line t (Dyn_protocol.error_line ~session:sid "worker died")
   | Close_op sid ->
     Hashtbl.remove t.sessions sid;
-    out_line t (session_err sid "worker died")
+    out_line t (Dyn_protocol.error_line ~session:sid "worker died")
   | Replay -> ()
   | Ping -> ()
   | Sync -> ()
@@ -540,18 +541,24 @@ let process_response t w line =
       c.awaiting <- c.awaiting - 1;
       if c.awaiting <= 0 then finish_collection t c)
 
-(* pull every complete line out of the worker's read buffer *)
-let drain_lines t w =
-  let again = ref true in
-  while !again do
-    let s = Buffer.contents w.rbuf in
-    match String.index_opt s '\n' with
-    | None -> again := false
-    | Some i ->
-      Buffer.clear w.rbuf;
-      Buffer.add_substring w.rbuf s (i + 1) (String.length s - i - 1);
-      process_response t w (String.sub s 0 i)
-  done
+(* the one line splitter of both sides: hand each complete line in
+   [buf] to [f] in order, in one scan, and keep the unterminated tail.
+   It stops early when [go ()] turns false — the tail then keeps the
+   unhandled lines — or when [f] empties [buf]: a worker death inside
+   [f] drops that worker's partial output *)
+let take_lines ?(go = fun () -> true) buf f =
+  let s = Buffer.contents buf in
+  let n = String.length s in
+  let rec next start =
+    match String.index_from_opt s start '\n' with
+    | Some i when go () ->
+      f (String.sub s start (i - start));
+      if Buffer.length buf > 0 then next (i + 1)
+    | _ ->
+      Buffer.clear buf;
+      Buffer.add_substring buf s start (n - start)
+  in
+  next 0
 
 let read_buf = Bytes.create 65536
 
@@ -562,7 +569,7 @@ let handle_worker_readable t w =
   | 0 -> handle_worker_down t w
   | n ->
     Buffer.add_subbytes w.rbuf read_buf 0 n;
-    drain_lines t w
+    take_lines w.rbuf (process_response t w)
 
 (* ------------------------------------------------------------------ *)
 (* client side *)
@@ -610,67 +617,57 @@ let handle_solve_line t line =
     Trace.begin_span_id sp_request trace;
     Trace.instant_id sp_admit trace
   end;
-  let key =
-    match Request.parse_spec line with
-    | Ok spec -> solve_key t spec.Request.path
-    | Error _ -> Shard_map.hash_string line
-  in
-  match Shard_map.assign t.map key with
-  | None ->
-    out_line t
-      (Printf.sprintf "{\"ok\":false,\"err\":\"no workers up\",\"req\":%d}" gid);
-    if trace <> 0 then begin
-      Trace.instant_id sp_done trace;
-      Trace.end_span_id sp_request trace
-    end;
-    access_write t
-      (access_fail_line ~trace ~gid ~worker:(-1) ~key ~queue:0
-         ~status:"no workers up")
-  | Some wi ->
-    let w = t.ws.(wi) in
-    if queue_full t w then begin
-      t.shed <- t.shed + 1;
-      out_line t
-        (Printf.sprintf "{\"ok\":false,\"err\":\"overloaded\",\"req\":%d}" gid);
-      if trace <> 0 then begin
-        Trace.instant_id sp_done trace;
-        Trace.end_span_id sp_request trace
-      end;
-      access_write t
-        (access_fail_line ~trace ~gid ~worker:wi ~key
-           ~queue:(Queue.length w.queue) ~status:"overloaded")
-    end
-    else begin
-      let sm =
-        {
-          sm_gid = gid;
-          sm_trace = trace;
-          sm_worker = wi;
-          sm_key = key;
-          sm_queue_at = Queue.length w.queue;
-          sm_admit_ns = admit_ns;
-          sm_sent_ns = admit_ns;
-          sm_head_ns = admit_ns;
-        }
-      in
-      let at_head = Queue.is_empty w.queue in
-      (* context propagation: one extra key=value token, absent when
-         tracing is off, ignored-but-parsed by any engine — old
-         workers and clients see byte-identical traffic without it *)
-      let line =
-        if trace <> 0 then Printf.sprintf "%s trace=%d" line trace else line
-      in
-      match send_to_worker w (Solve sm) line with
-      | exception Worker_down _ -> handle_worker_down t w
-      | () ->
-        let sent_ns = Obs.now_ns () in
-        sm.sm_sent_ns <- sent_ns;
-        if trace <> 0 then Trace.instant_id sp_sent trace;
-        if at_head then begin
-          sm.sm_head_ns <- sent_ns;
-          if trace <> 0 then Trace.instant_id sp_head trace
-        end
-    end
+  match Request.parse_spec line with
+  | Error msg ->
+    (* answered at admission: a line no engine accepts never reaches a
+       worker *)
+    refuse_solve t ~trace ~gid ~status:"error" ~worker:(-1) ~key:0 ~queue:0 msg
+  | Ok spec -> (
+    let path = spec.Request.path in
+    let key = solve_key t path in
+    match Shard_map.assign t.map key with
+    | None ->
+      refuse_solve t ~trace ~gid ~file:path ~worker:(-1) ~key ~queue:0
+        "no workers up"
+    | Some wi ->
+      let w = t.ws.(wi) in
+      if queue_full t w then begin
+        t.shed <- t.shed + 1;
+        refuse_solve t ~trace ~gid ~file:path ~worker:wi ~key
+          ~queue:(Queue.length w.queue) "overloaded"
+      end
+      else begin
+        let sm =
+          {
+            sm_gid = gid;
+            sm_path = path;
+            sm_trace = trace;
+            sm_worker = wi;
+            sm_key = key;
+            sm_queue_at = Queue.length w.queue;
+            sm_admit_ns = admit_ns;
+            sm_sent_ns = admit_ns;
+            sm_head_ns = admit_ns;
+          }
+        in
+        let at_head = Queue.is_empty w.queue in
+        (* context propagation: one extra key=value token, absent when
+           tracing is off, ignored-but-parsed by any engine — old
+           workers and clients see byte-identical traffic without it *)
+        let line =
+          if trace <> 0 then Printf.sprintf "%s trace=%d" line trace else line
+        in
+        match send_to_worker w (Solve sm) line with
+        | exception Worker_down _ -> handle_worker_down t w
+        | () ->
+          let sent_ns = Obs.now_ns () in
+          sm.sm_sent_ns <- sent_ns;
+          if trace <> 0 then Trace.instant_id sp_sent trace;
+          if at_head then begin
+            sm.sm_head_ns <- sent_ns;
+            if trace <> 0 then Trace.instant_id sp_head trace
+          end
+      end)
 
 let handle_session_line t line =
   match Njson.parse_flat line with
@@ -685,15 +682,16 @@ let handle_session_line t line =
     | Some "open", Some sid -> (
       t.requests <- t.requests + 1;
       if Hashtbl.mem t.sessions sid then
-        out_line t (session_err sid ("session already open: " ^ sid))
+        out_line t
+          (Dyn_protocol.error_line ~session:sid ("session already open: " ^ sid))
       else
         match Shard_map.assign_string t.map sid with
-        | None -> out_line t (session_err sid "no workers up")
+        | None -> out_line t (Dyn_protocol.error_line ~session:sid "no workers up")
         | Some wi ->
           let w = t.ws.(wi) in
           if queue_full t w then begin
             t.shed <- t.shed + 1;
-            out_line t (session_err sid "overloaded")
+            out_line t (Dyn_protocol.error_line ~session:sid "overloaded")
           end
           else begin
             Hashtbl.replace t.sessions sid
@@ -711,14 +709,16 @@ let handle_session_line t line =
     | Some op, Some sid -> (
       t.requests <- t.requests + 1;
       match Hashtbl.find_opt t.sessions sid with
-      | None -> out_line t (session_err sid ("unknown session: " ^ sid))
+      | None ->
+        out_line t
+          (Dyn_protocol.error_line ~session:sid ("unknown session: " ^ sid))
       | Some s ->
         let w = t.ws.(s.s_worker) in
         if not (Shard_map.is_up t.map s.s_worker) then
-          out_line t (session_err sid "worker down")
+          out_line t (Dyn_protocol.error_line ~session:sid "worker down")
         else if queue_full t w then begin
           t.shed <- t.shed + 1;
-          out_line t (session_err sid "overloaded")
+          out_line t (Dyn_protocol.error_line ~session:sid "overloaded")
         end
         else
           let kind =
@@ -805,16 +805,7 @@ let serve_loop t client_fd =
       t.stopping <- true
     | n ->
       Buffer.add_subbytes cbuf read_buf 0 n;
-      let again = ref true in
-      while !again && not t.stopping do
-        let s = Buffer.contents cbuf in
-        match String.index_opt s '\n' with
-        | None -> again := false
-        | Some i ->
-          Buffer.clear cbuf;
-          Buffer.add_substring cbuf s (i + 1) (String.length s - i - 1);
-          handle_client_line t (String.sub s 0 i)
-      done
+      take_lines ~go:(fun () -> not t.stopping) cbuf (handle_client_line t)
   in
   while not t.stopping do
     let rfds =

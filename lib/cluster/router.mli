@@ -17,9 +17,12 @@
       stream-protocol lines carrying the [session] field) are sticky:
       the session is pinned to one worker at open time and its
       journaled overlay stays worker-local;
-    - {b robustness}: per-worker bounded in-flight queues with
-      admission control ([{"ok":false,"err":"overloaded",...}] when a
-      queue is full), a per-worker service timeout that SIGKILLs a hung
+    - {b admission}: a solve line that does not parse, or a request
+      routed to a full worker (bounded in-flight queue), is answered by
+      the router in its protocol's own error grammar —
+      {!Serve_loop.error_reply} for solves, {!Dyn_protocol.error_line}
+      for session ops — and never reaches a worker;
+    - {b robustness}: a per-worker service timeout that SIGKILLs a hung
       worker, EOF-based crash detection, automatic respawn, and
       dyn-session recovery on the replacement worker by replaying the
       router's copy of each session's update journal (the same journal
@@ -39,7 +42,8 @@
 
     Responses are matched to requests FIFO per worker (workers are
     serial); solve responses are rewritten to the router's global
-    request id, session replies already carry their session id. *)
+    request id, session replies already carry their session id.  An
+    answer at admission can overtake earlier requests still in flight. *)
 
 type config = {
   exe : string;  (** binary to re-exec (the running [ocr]) *)
@@ -64,7 +68,7 @@ type config = {
           [ocr trace merge] aligns into one timeline using the
           clock-offset handshake each worker answers at spawn *)
   access_log : string option;
-      (** append one NDJSON line per completed/shed request (trace id,
+      (** append one NDJSON line per request, answered or refused (trace id,
           worker, shard key, cache hit, queue depth at admission,
           per-phase ms, status); an unusable path or failed write is
           logged and the log disabled, never the router *)

@@ -88,4 +88,8 @@ let render_op = function
   | Metrics_op -> Njson.obj [ ("op", {|"metrics"|}) ]
   | Quit -> Njson.obj [ ("op", {|"quit"|}) ]
 
-let error_line msg = Njson.obj [ ("ok", "false"); ("error", Njson.escape msg) ]
+let error_line ?session msg =
+  let fields = [ ("ok", "false"); ("error", Njson.escape msg) ] in
+  match session with
+  | None -> Njson.obj fields
+  | Some sid -> Njson.obj (("session", Njson.escape sid) :: fields)

@@ -35,6 +35,7 @@ val render_update : Dyn.update -> string
 
 val render_op : op -> string
 
-val error_line : string -> string
-(** [{"ok":false,"error":...}] — the structured error response; the
-    stream continues after it. *)
+val error_line : ?session:string -> string -> string
+(** [{"ok":false,"error":...}], with ["session":ID] first for a cluster
+    session: the stream protocol's error reply, whichever process
+    answers it; the stream continues after it. *)

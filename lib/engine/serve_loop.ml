@@ -17,16 +17,20 @@ let print_telemetry eng oc =
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let solve_line ?wall eng ~id spec =
-  match Engine.solve_path eng ~id spec with
-  | Error e ->
-    Printf.sprintf "req=%d file=%s status=error msg=%S" id spec.Request.path e
-  | Ok r -> Engine.response_line ?wall r
+let error_reply ~id ?file msg =
+  match file with
+  | None -> Printf.sprintf "req=%d status=error msg=%S" id msg
+  | Some path -> Printf.sprintf "req=%d file=%s status=error msg=%S" id path msg
 
 let handle_request ?wall eng ~id line =
-  match Request.parse_spec line with
-  | Error msg -> Printf.sprintf "req=%d status=error msg=%S" id msg
-  | Ok spec -> solve_line ?wall eng ~id spec
+  try
+    match Request.parse_spec line with
+    | Error msg -> error_reply ~id msg
+    | Ok spec -> (
+      match Engine.solve_path eng ~id spec with
+      | Error e -> error_reply ~id ~file:spec.Request.path e
+      | Ok r -> Engine.response_line ?wall r)
+  with e -> error_reply ~id (Printexc.to_string e)
 
 let serve ?(wall = false) eng ic oc =
   let id = ref 0 in
@@ -41,13 +45,8 @@ let serve ?(wall = false) eng ic oc =
         flush oc
       end
       else begin
-        match Request.parse_spec line with
-        (* historical serve shape: a parse failure answers without a
-           request id and does not consume one *)
-        | Error msg -> out_line oc (Printf.sprintf "error msg=%S" msg)
-        | Ok spec ->
-          incr id;
-          out_line oc (solve_line ~wall eng ~id:!id spec)
+        incr id;
+        out_line oc (handle_request ~wall eng ~id:!id line)
       end
     done
   with End_of_file | Exit -> ()

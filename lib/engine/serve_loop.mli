@@ -9,22 +9,26 @@
     socket or pipe peer sees each reply as soon as it is produced
     instead of whenever the runtime's buffer happens to fill. *)
 
+val out_line : out_channel -> string -> unit
+(** The line framer of every protocol: the line, a newline, a flush. *)
+
 val serve : ?wall:bool -> Engine.t -> in_channel -> out_channel -> unit
 (** The [ocr serve] line protocol: each input line is a request
-    ([<graph-file> key=value ...]); [telemetry] prints counters,
-    [metrics] the Prometheus exposition, [quit] or EOF returns.
-    Malformed requests and unreadable/corrupt graph files answer a
-    structured error line and the session continues. *)
+    ([<graph-file> key=value ...]) answered by {!handle_request} under
+    the next request id; [telemetry] prints counters, [metrics] the
+    Prometheus exposition, [quit] or EOF returns. *)
+
+val error_reply : id:int -> ?file:string -> string -> string
+(** [req=<id> [file=<path>] status=error msg="..."]: the error reply
+    to a one-shot solve, whichever process answers it (serve loop,
+    cluster worker, or the cluster router refusing at admission). *)
 
 val handle_request : ?wall:bool -> Engine.t -> id:int -> string -> string
 (** One request spec line to one response line, under the caller's
-    request id: parse failures answer
-    [req=<id> status=error msg=...], load failures
-    [req=<id> file=<path> status=error msg=...], and everything else
-    {!Engine.response_line}.  This is the per-line entry the cluster
-    worker multiplexes (the router matches responses to requests by
-    FIFO order, so every request line must produce exactly one
-    response line). *)
+    request id: an {!error_reply} (with the file for a load failure)
+    or {!Engine.response_line}.  Never raises: the cluster router
+    matches worker responses to requests FIFO, so every request line
+    must produce exactly one response line. *)
 
 val print_telemetry : Engine.t -> out_channel -> unit
 (** The [telemetry] reply: the {!Telemetry.pp_summary} block, one
