@@ -4,11 +4,13 @@ type init = [ `Cheapest_arc | `First_arc | `Random of int ]
    recording below sits behind one [tr] check sampled at solve entry,
    so the disabled path costs a handful of branches per iteration and
    allocates nothing — the kernel's Gc tests run with the
-   instrumentation compiled in. *)
+   instrumentation compiled in.  A traced solve records two records per
+   iteration (the [howard.iteration] span) and three per solve (the
+   [howard.solve] span and one [howard.improved] sample, the solve's
+   total of improving arcs): a sub-span per phase would triple the
+   records of a cheap iteration and wrap a serving process's ring. *)
 let sp_solve = Obs.intern "howard.solve"
 let sp_iter = Obs.intern "howard.iteration"
-let sp_eval = Obs.intern "howard.eval"
-let sp_sweep = Obs.intern "howard.sweep"
 let sp_improved = Obs.intern "howard.improved"
 
 type int_array1 = Digraph.int_array1
@@ -437,16 +439,14 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
     assert (!best_den > 0) (* every functional graph has a cycle *)
   in
   let cap = (8 * n) + 64 in
+  let relax0 = st.Stats.relaxations in
   let iter = ref 0 in
   let converged = ref false in
   while (not !converged) && !iter < cap do
     incr iter;
     (match budget with Some b -> Budget.tick b | None -> ());
     st.Stats.iterations <- st.Stats.iterations + 1;
-    if tr then begin
-      Trace.begin_span sp_iter;
-      Trace.begin_span sp_eval
-    end;
+    if tr then Trace.begin_span sp_iter;
     eval_policy ();
     let lambda = float_of_int !best_num /. float_of_int !best_den in
     (* node distances by reverse BFS from the cycle entry over policy
@@ -500,11 +500,6 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
        per-node winners against the distances frozen above; the merge
        applies them.  With one chunk this is the serial kernel; with a
        pool, chunk 0 runs here while chunks 1.. run on the executor. *)
-    if tr then begin
-      Trace.end_span sp_eval;
-      Trace.begin_span sp_sweep
-    end;
-    let relax_before = st.Stats.relaxations in
     s.sweep_epoch <- s.sweep_epoch + 1;
     s.sweep_lambda.(0) <- lambda;
     (match pool with
@@ -514,12 +509,9 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
       Array.iter (fun fut -> Executor.await p fut) futs
     | _ -> sweep_chunk s ~srcs ~dsts ~wf ~denf 0 m 0);
     if not (apply_winners s ~n ~chunks st) then converged := true;
-    if tr then begin
-      Trace.counter_int sp_improved (st.Stats.relaxations - relax_before);
-      Trace.end_span sp_sweep;
-      Trace.end_span sp_iter
-    end
+    if tr then Trace.end_span sp_iter
   done;
+  if tr then Trace.counter_int sp_improved (st.Stats.relaxations - relax0);
   (* iteration cap hit: the best policy cycle of the current policy is
      still a sound candidate; the exact finisher corrects any gap.
      On convergence [cycle_arcs] already holds the cycle evaluated

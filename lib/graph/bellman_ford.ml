@@ -2,35 +2,46 @@ type _ costs = Int : int array -> int costs | Float : float array -> float costs
 
 type 'd outcome = Feasible of 'd array | Negative_cycle of int list
 
-(* relax-pass spans: one span per engine run, with the node count as a
-   counter sample, recorded only when tracing is on — the engine is
-   the inner loop of the exact finisher and must stay allocation-free
-   when observability is off *)
+(* relax-pass span: one span per engine run, recorded only when
+   tracing is on — the engine is the inner loop of the exact finisher
+   and must stay allocation-free when observability is off *)
 let sp_run = Obs.intern "bf.run"
-let sp_nodes = Obs.intern "bf.nodes"
+
+(* Workspace of the predecessor-graph search.  [mark.(v)] is the stamp
+   of the last walk that visited [v]; every walk takes a fresh stamp
+   above [stamp], so one search never clears the array: a node is
+   unseen by the current search iff its mark is at most the stamp the
+   search started from, on the current walk iff its mark equals the
+   walk's stamp, and done otherwise.  Held by the engine across all the
+   searches of one run, so an inconclusive search allocates nothing. *)
+type pred_search = { mark : int array; mutable stamp : int }
+
+let pred_search n = { mark = Array.make n 0; stamp = 0 }
 
 (* Searches the predecessor graph (at most one pred arc per node) for a
    cycle and returns its arcs in path order.  A classic invariant of
    Bellman-Ford (Cherkassky & Goldberg, "Negative-cycle detection
    algorithms") is that any cycle of the predecessor graph is a
-   negative cycle, so a hit here is a sound certificate.  O(n). *)
-let cycle_in_pred_graph g pred_arc =
+   negative cycle, so a hit here is a sound certificate.  O(n); only a
+   hit allocates (the returned list). *)
+let find_pred_cycle ps g pred_arc =
   let n = Digraph.n g in
-  let color = Array.make n 0 in (* 0 unseen, 1 on current walk, 2 done *)
+  let mark = ps.mark in
+  let base = ps.stamp in
   let result = ref None in
   let v = ref 0 in
-  while !result = None && !v < n do
-    if color.(!v) = 0 then begin
+  while Option.is_none !result && !v < n do
+    if mark.(!v) <= base then begin
       (* walk backwards along predecessors *)
-      let path = ref [] in
+      ps.stamp <- ps.stamp + 1;
+      let walk = ps.stamp in
       let x = ref !v in
       let continue = ref true in
       while !continue do
-        if pred_arc.(!x) < 0 || color.(!x) = 2 then begin
-          continue := false;
-          List.iter (fun y -> color.(y) <- 2) !path
-        end
-        else if color.(!x) = 1 then begin
+        let mx = mark.(!x) in
+        if pred_arc.(!x) < 0 || (mx > base && mx < walk) then
+          continue := false
+        else if mx = walk then begin
           (* found a cycle through !x: collect until we return to it *)
           continue := false;
           let arcs = ref [] in
@@ -42,12 +53,10 @@ let cycle_in_pred_graph g pred_arc =
             y := Digraph.src g a;
             if !y = !x then go := false
           done;
-          List.iter (fun z -> color.(z) <- 2) !path;
           result := Some !arcs
         end
         else begin
-          color.(!x) <- 1;
-          path := !x :: !path;
+          mark.(!x) <- walk;
           x := Digraph.src g pred_arc.(!x)
         end
       done
@@ -56,15 +65,30 @@ let cycle_in_pred_graph g pred_arc =
   done;
   !result
 
+let cycle_in_pred_graph g pred_arc =
+  find_pred_cycle (pred_search (Digraph.n g)) g pred_arc
+
 (* FIFO Bellman-Ford ("Moore") from a virtual super-source: every node
-   starts at distance 0 and is queued in order 0..n-1.  A node reaching
-   n+1 updates triggers a predecessor-graph cycle search; its counter
-   is reset if the search is inconclusive, so the scan amortizes to
-   O(1) per update.  The queue, the update counting and the cycle check
-   below are shared by both cost types; only the loop that pops nodes
-   and scans their arcs is written once per type, so each stays
-   monomorphic and unboxed (a per-pop closure call would cost more than
-   the scan of a sparse node). *)
+   starts at distance 0 and is queued in order 0..n-1.  Two rules
+   trigger a predecessor-graph cycle search:
+
+   - [Int] costs: every n relaxations (Cherkassky & Goldberg's
+     amortized search, O(1) per relaxation), so a negative cycle is
+     reported within n relaxations of forming, and an exact probe
+     above λ* costs about n relaxations instead of up to n passes;
+   - both cost types: a node reaching n+1 updates, its counter reset
+     if the search is inconclusive.  This is the only rule of the
+     [Float] drain, whose relaxation counts are Lawler's and OA's
+     published operation counts (E9, test/probes), and a fallback for
+     [Int].
+
+   A search that finds no cycle changes nothing else, so a feasible run
+   relaxes the same arcs in the same order under either rule.  The
+   queue, the update counting and the cycle check below are shared by
+   both cost types; only the loop that pops nodes and scans their arcs
+   is written once per type, so each stays monomorphic and unboxed (a
+   per-pop closure call would cost more than the scan of a sparse
+   node). *)
 type state = {
   g : Digraph.t;
   n : int;
@@ -82,6 +106,11 @@ type state = {
   ring : int array;
   mutable head : int;
   mutable tail : int;
+  (* relaxations between amortized searches: n for [Int], [max_int]
+     (never) for [Float] *)
+  search_every : int;
+  mutable since_search : int;
+  ps : pred_search;
   mutable found : int list option;
 }
 
@@ -103,10 +132,13 @@ let[@inline] relaxed st v a =
   (match st.on_relax with Some f -> f () | None -> ());
   st.pred_arc.(v) <- a;
   st.times_updated.(v) <- st.times_updated.(v) + 1;
-  if st.times_updated.(v) > st.n then begin
-    st.times_updated.(v) <- 0;
-    match cycle_in_pred_graph st.g st.pred_arc with
-    | Some cycle -> st.found <- Some cycle
+  st.since_search <- st.since_search + 1;
+  let n_plus_one = st.times_updated.(v) > st.n in
+  if n_plus_one || st.since_search >= st.search_every then begin
+    if n_plus_one then st.times_updated.(v) <- 0;
+    st.since_search <- 0;
+    match find_pred_cycle st.ps st.g st.pred_arc with
+    | Some _ as cycle -> st.found <- cycle
     | None -> enqueue st v
   end
   else enqueue st v
@@ -161,10 +193,7 @@ let run (type d) ?on_relax (costs : d costs) g : d outcome =
   if len <> Digraph.m g then
     invalid_arg "Bellman_ford.run: costs length <> arc count";
   let tr = !Obs.enabled_flag in
-  if tr then begin
-    Trace.begin_span sp_run;
-    Trace.counter_int sp_nodes (Digraph.n g)
-  end;
+  if tr then Trace.begin_span sp_run;
   let n = Digraph.n g in
   let out_start, out_arcs = Digraph.Unsafe.out_csr g in
   let st =
@@ -181,6 +210,9 @@ let run (type d) ?on_relax (costs : d costs) g : d outcome =
       ring = Array.make (n + 1) 0;
       head = 0;
       tail = 0;
+      search_every = (match costs with Int _ -> n | Float _ -> max_int);
+      since_search = 0;
+      ps = pred_search n;
       found = None;
     }
   in

@@ -7,7 +7,19 @@
     retiming and clock schedules) and [Float] for the float bisections
     of Lawler, OA and Burns, which test [w(a) − λ·den(a)] directly in
     floating point as the original study did.  Integer arithmetic is
-    on native ints; callers keep scaled costs within range. *)
+    on native ints; callers keep scaled costs within range.
+
+    Negative cycles are found by searching the predecessor graph, on a
+    rule that depends on the cost tag:
+    - [Int]: after every n relaxations (Cherkassky & Goldberg's
+      amortized search), and when a node reaches n+1 updates;
+    - [Float]: only when a node reaches n+1 updates, so Lawler's and
+      OA's relaxation and oracle counts stay the published ones.
+
+    A search that finds no cycle changes no distance, predecessor or
+    queue entry, so a feasible run relaxes the same arcs in the same
+    order under either rule; only a negative-cycle run can stop
+    sooner, with a different (still negative) cycle. *)
 
 type _ costs =
   | Int : int array -> int costs
@@ -25,7 +37,8 @@ type 'd outcome =
 val run : ?on_relax:(unit -> unit) -> 'd costs -> Digraph.t -> 'd outcome
 (** FIFO Bellman–Ford from the all-zero virtual super-source (nodes
     queued in order [0..n−1], arcs scanned in CSR order) with early
-    exit on the first negative cycle.  [on_relax] is invoked on every
+    exit on the first negative cycle, detected by the per-tag rule
+    above.  [on_relax] is invoked on every
     successful arc relaxation (the paper's operation counts).  The
     [Float] scan re-reads the popped node's distance for every arc, so
     a negative self-loop takes effect within the scan; the [Int] scan
@@ -39,4 +52,5 @@ val cycle_in_pred_graph : Digraph.t -> int array -> int list option
     order.  For any label-correcting relaxation scheme, such as the
     FIFO engine here, a cycle of the predecessor graph is a negative
     cycle (Cherkassky & Goldberg), so a hit is a sound certificate.
-    O(n). *)
+    O(n).  Allocates a fresh search buffer per call; [run] keeps one
+    across all the searches of a run. *)

@@ -35,7 +35,10 @@ gate --speedup bench-e14.json 4 1.2
 # component ids and subproblems equal the reference implementations);
 # BENCH_pr23.json gates the same run again with E20's fingerprint rows
 # added (identical strict: equal structures fingerprint equal, and a
-# session's fingerprint equals its snapshot's through scripted edits).
+# session's fingerprint equals its snapshot's through scripted edits);
+# BENCH_pr30.json gates E18 again at the exact lane's timings with the
+# amortized negative-cycle search on integer probes (3-8x below the
+# BENCH_pr9.json rows).
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -45,7 +48,8 @@ gate \
   BENCH_pr9.json bench-e18.json \
   BENCH_pr10.json bench-e19.json \
   BENCH_pr17.json bench-e20.json \
-  BENCH_pr23.json bench-e20.json
+  BENCH_pr23.json bench-e20.json \
+  BENCH_pr30.json bench-e18.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)

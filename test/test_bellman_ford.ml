@@ -108,9 +108,14 @@ let qcheck_potentials_feasible =
             ok && d.(Digraph.dst g a) <= d.(Digraph.src g a) + Digraph.weight g a)
           true)
 
-(* property: the one engine reproduces the two engines it replaced —
-   same verdict, same potentials, same cycle, same relaxation count —
-   for integer costs and for non-integer float G_λ costs *)
+(* property: the one engine reproduces the two engines it replaced.
+   Float runs keep the published drain exactly: same verdict, same
+   potentials, same cycle, same relaxation count.  Int runs also search
+   the predecessor graph every n relaxations, and an inconclusive search
+   changes nothing, so a feasible Int run is the reference run (same
+   potentials, same count); on a negative cycle the verdict agrees, the
+   arcs form a cycle of negative cost, and the search can only stop the
+   run sooner. *)
 let qcheck_matches_reference =
   QCheck.Test.make ~name:"bellman-ford: run matches the reference engines"
     ~count:500
@@ -142,8 +147,11 @@ let qcheck_matches_reference =
       in
       let same_int =
         match (got_i, ref_i) with
-        | Bellman_ford.Feasible d, Ok (d', _) -> d = d'
-        | Bellman_ford.Negative_cycle c, Error c' -> c = c'
+        | Bellman_ford.Feasible d, Ok (d', _) -> d = d' && k_i = kr_i
+        | Bellman_ford.Negative_cycle c, Error _ ->
+          Digraph.is_cycle g c
+          && List.fold_left (fun s a -> s + ints.(a)) 0 c < 0
+          && k_i <= kr_i
         | _ -> false
       in
       let same_float =
@@ -152,7 +160,39 @@ let qcheck_matches_reference =
         | Bellman_ford.Negative_cycle c, Error c' -> c = c'
         | _ -> false
       in
-      same_int && k_i = kr_i && same_float && k_f = kr_f)
+      same_int && same_float && k_f = kr_f)
+
+(* The predecessor-graph search runs every n relaxations of an Int run;
+   it must reuse the engine's buffer, not allocate per search.  A
+   reversed path with unit-negative costs is feasible and takes ~n²/2
+   relaxations (n/2 searches and more); the same path at zero cost takes
+   none.  Same n, same arrays: the two runs must allocate the same minor
+   words.  (n stays under the 256-word minor-heap limit, so a per-search
+   array would be counted too.) *)
+let test_search_allocation_free () =
+  let n = 200 in
+  let g =
+    Digraph.of_weighted_arcs n (List.init (n - 1) (fun i -> (i + 1, i, -1)))
+  in
+  let searched = costs g and flat = Bellman_ford.Int (Array.make (n - 1) 0) in
+  let relaxations = ref 0 in
+  (match Bellman_ford.run ~on_relax:(fun () -> incr relaxations) searched g with
+  | Bellman_ford.Feasible _ -> ()
+  | Bellman_ford.Negative_cycle _ -> Alcotest.fail "a path has no cycle");
+  Alcotest.(check bool)
+    (Printf.sprintf "%d relaxations run at least 10 searches" !relaxations)
+    true
+    (!relaxations >= 10 * n);
+  let words c =
+    let before = Gc.minor_words () in
+    ignore (Bellman_ford.run c g);
+    Gc.minor_words () -. before
+  in
+  ignore (words flat);
+  ignore (words searched);
+  Alcotest.(check (float 0.0))
+    "allocation does not grow with the number of searches" (words flat)
+    (words searched)
 
 let suite =
   [
@@ -168,3 +208,7 @@ let suite =
   ]
   @ Helpers.qtests
       [ qcheck_negative_cycle_iff; qcheck_potentials_feasible; qcheck_matches_reference ]
+  @ [
+      Alcotest.test_case "predecessor search allocates nothing" `Quick
+        test_search_allocation_free;
+    ]

@@ -269,6 +269,47 @@ let qcheck_random_init_agrees =
           Ratio.equal l expect && Digraph.is_cycle g c)
         [ 0; 1; 42 ])
 
+(* A traced solve records two records per iteration (the
+   [howard.iteration] span) and three per solve (the [howard.solve]
+   span and one [howard.improved] sample), plus two (a [bf.run] span)
+   per probe of the exact finisher: a
+   serving process traces every solve into one fixed ring, so the
+   per-iteration cost is what decides how much history it keeps. *)
+let test_traced_record_budget () =
+  let g = Sprand.generate ~seed:3 ~n:2000 ~m:6000 () in
+  let stats = Stats.create () in
+  Trace.configure ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Trace.configure ())
+    (fun () ->
+      ignore (Howard.minimum_cycle_mean ~stats ~init:`First_arc g);
+      let iters = stats.Stats.iterations
+      and probes = stats.Stats.oracle_calls in
+      Alcotest.(check bool)
+        (Printf.sprintf "enough iterations to measure (%d)" iters)
+        true (iters >= 6);
+      Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ());
+      let evs = Trace.events () in
+      let named p =
+        List.length
+          (List.filter (fun e -> p (Obs.name_of e.Trace.ev_id)) evs)
+      in
+      Alcotest.(check int) "one span per iteration" (2 * iters)
+        (named (String.equal "howard.iteration"));
+      Alcotest.(check int) "howard records: 2 per iteration + 3"
+        ((2 * iters) + 3)
+        (named (String.starts_with ~prefix:"howard."));
+      Alcotest.(check int) "one howard.improved sample" 1
+        (named (String.equal "howard.improved"));
+      Alcotest.(check bool)
+        (Printf.sprintf "%d records <= 2 * %d iterations + 3 + 2 * %d probes"
+           (Trace.recorded ()) iters probes)
+        true
+        (Trace.recorded () <= (2 * iters) + 3 + (2 * probes)))
+
 let suite =
   [
     Alcotest.test_case "steady state allocates O(1) words" `Quick
@@ -288,3 +329,7 @@ let suite =
         qcheck_random_init_agrees; qcheck_chunked_sweep_matches_serial;
         qcheck_tracing_invisible;
       ]
+  @ [
+      Alcotest.test_case "traced solve records 2 per iteration + O(1)" `Quick
+        test_traced_record_budget;
+    ]
