@@ -120,10 +120,11 @@ let locate ?stats ~den g lambda =
     | Some c -> Optimal c
     | None -> Below)
 
-let improve_to_optimal ?stats ~den g cycle =
+let improve_to_optimal ?stats ?budget ~den g cycle =
   if not (Digraph.is_cycle g cycle) then
     invalid_arg "Critical.improve_to_optimal: not a cycle";
   let rec go lambda =
+    Option.iter Budget.tick budget;
     match locate ?stats ~den g lambda with
     | Optimal w -> (lambda, w)
     | Above better ->

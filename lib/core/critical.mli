@@ -65,14 +65,17 @@ val locate : ?stats:Stats.t -> den:(int -> int) -> Digraph.t -> Ratio.t -> posit
     among the tight arcs.  Increments [stats.oracle_calls]. *)
 
 val improve_to_optimal :
-  ?stats:Stats.t -> den:(int -> int) -> Digraph.t -> int list -> Ratio.t * int list
+  ?stats:Stats.t -> ?budget:Budget.t -> den:(int -> int) -> Digraph.t ->
+  int list -> Ratio.t * int list
 (** [improve_to_optimal ~den g cycle] starts from any genuine cycle of
     [g] and repeatedly descends ([locate], take the negative cycle)
     until λ* is reached; returns the exact optimum and a witness.
     Terminates because every step moves strictly down within the finite
     set of cycle ratios.  This is the exact finisher applied to the
     candidates produced by float-based iterations (Howard, Burns) and
-    ε-approximate searches (Lawler, OA). *)
+    ε-approximate searches (Lawler, OA), and the whole of {!Newton}.
+    [budget] is ticked once per probe.
+    @raise Budget.Exceeded when it runs out. *)
 
 val critical_arcs : den:(int -> int) -> Digraph.t -> Ratio.t -> int list
 (** Arcs of the critical subgraph at λ = λ*: tight arcs that lie on a

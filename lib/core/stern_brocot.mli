@@ -1,20 +1,11 @@
-(** Exact optimum by Stern–Brocot (mediant) search.
+(** The exact lane under its original name.
 
-    A verification-grade solver: λ* is found purely through exact integer
-    negative-cycle probes ({!Critical.locate}) guided by the
-    Stern–Brocot tree, without the float iterates of Howard/Lawler —
-    an independent computation path for auditing their answers.  The
-    denominator of λ* is at most [n] for cycle means and at most the
-    total transit time for cost-to-time ratios, which bounds the tree
-    descent; witness cycles returned by Above probes accelerate the
-    walk the way the improved Lawler search does.  See docs/EXACT.md.
-
-    The engine answers [algorithm=exact] requests with it.
-
-    Both entry points assume a strongly connected input with at least
-    one arc (use the engine or {!Solver}-style per-SCC decomposition
-    for arbitrary graphs); [pool] is accepted for interface uniformity
-    and ignored — every probe is one sequential Bellman–Ford. *)
+    The Stern–Brocot mediant walk that answered [algorithm=exact] is
+    gone; both entry points now run {!Newton.descent} with
+    [who = "Stern_brocot"], so their answers, errors and budget ticks
+    are the descent's.  They stay only because the end-to-end replay's
+    [Stern_brocot.solve.ms_p50] metric and bench E18 call them by name;
+    new code calls {!Newton}. *)
 
 val minimum_cycle_mean :
   ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->

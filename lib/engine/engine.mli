@@ -12,9 +12,10 @@
     settings (only wall times vary, and {!response_line} omits them by
     default).
 
-    {b Portfolio.}  [Auto] requests run Howard under an iteration
-    budget, falling back to HO (level budget) and finally Karp2
-    (unbudgeted, so the portfolio always terminates exactly).  A
+    {b Portfolio.}  [Auto] requests run {!Newton}'s exact descent under
+    a probe budget, falling back to Howard (iteration budget), HO
+    (level budget) and finally Karp2 (unbudgeted, so the portfolio
+    always terminates exactly).  A
     per-request deadline is a shared absolute wall-clock bound across
     all attempts and SCC subtasks; exceeding it yields [Timeout] with
     the best partial result over completed components. *)
@@ -25,8 +26,10 @@ type outcome =
       cycle : int list;  (** witness cycle, arc ids of the request graph *)
       components : int;  (** nontrivial SCCs examined *)
       algorithm : string;
-          (** the algorithm that produced it — a {!Registry.name}, or
-              ["exact"] for the Stern–Brocot search *)
+          (** the algorithm that produced it — a {!Registry.name},
+              ["newton"] for the Auto portfolio's {!Newton} descent, or
+              ["exact"] for the [algorithm=exact] lane (the same
+              descent) *)
       cached : bool;  (** served from the LRU / batch dedup *)
       fallbacks : int;  (** portfolio steps taken past the first *)
       certified : bool;  (** [Verify.certify] passed (verify requests) *)
@@ -99,6 +102,29 @@ val solve_path : t -> id:int -> Request.spec -> (response, string) result
     the answer costs one [stat]: the file is not opened.  Otherwise the
     file is read ([engine.load] span) and the request goes through
     {!solve}.  [Error msg] is a file that cannot be read or parsed. *)
+
+type attempt = {
+  alg : string;  (** the [alg=] and per-algorithm telemetry name *)
+  iterations : int option;
+      (** iteration budget per component; [None] = unbudgeted *)
+  run : Registry.exact_solver;
+}
+(** One step of a request's portfolio. *)
+
+val portfolio : Request.t -> attempt list
+(** The attempts a cache miss runs, first to last: the fixed algorithm
+    alone; the {!Newton} descent unbudgeted as ["exact"]; or, for
+    [Auto], Newton (64 probes), Howard ([50 + n/16] iterations), HO
+    ([max 64 (n/8)] levels) and Karp2 (unbudgeted). *)
+
+val solve_attempts : t -> attempt list -> Request.t -> outcome
+(** The portfolio walk of a cache miss over the given attempts: the
+    preflight, the per-SCC fan-out of each attempt on the engine's
+    pool, an iteration blowout falling through to the next attempt
+    (counted in [fallbacks] and the attempt's [blowouts] row), the
+    request deadline across all of them.  Records the per-algorithm and
+    operation rows into the engine's telemetry; touches neither the
+    cache nor the request counters, and attaches no certificate. *)
 
 val run_batch : t -> Request.t list -> response list
 (** Solve a batch: requests are deduplicated by cache key, unique

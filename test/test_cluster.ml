@@ -257,9 +257,10 @@ let test_worker_exposition_sums_parts () =
   let m =
     match Metrics.of_prometheus text with Ok m -> m | Error e -> Alcotest.fail e
   in
+  (* the serve lines are Auto requests, which Newton's descent answers *)
   List.iter
     (fun (r : Telemetry.row) ->
-      let name = Telemetry.instantiate r.name "howard" in
+      let name = Telemetry.instantiate r.name "newton" in
       let ms =
         match r.kind with
         | Telemetry.Ms | Telemetry.Per_alg Telemetry.Ms -> true

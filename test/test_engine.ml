@@ -232,17 +232,15 @@ let spec_of ~problem ~objective ~algorithm ~verify =
    graph. *)
 let qcheck_engine_matches_solver
     ?(name = Printf.sprintf "engine --jobs %d = Solver.solve (incl. cache hits)")
-    ?(graphs = Helpers.arb_any_graph ~max_n:8 ~max_m:16 ~tmax:3 ()) jobs =
+    ?(graphs = Helpers.arb_any_graph ~max_n:8 ~max_m:16 ~tmax:3 ())
+    ?(algorithm = Request.Fixed Registry.Howard) jobs =
   QCheck.Test.make ~count:60
     ~name:(name jobs)
     QCheck.(pair graphs (pair bool bool))
     (fun (g, (maximize, ratio)) ->
       let objective = if maximize then Solver.Maximize else Solver.Minimize in
       let problem = if ratio then Solver.Cycle_ratio else Solver.Cycle_mean in
-      let spec =
-        spec_of ~problem ~objective
-          ~algorithm:(Request.Fixed Registry.Howard) ~verify:true
-      in
+      let spec = spec_of ~problem ~objective ~algorithm ~verify:true in
       with_engine ~jobs (fun eng ->
           let reqs =
             [ Request.make ~id:1 ~graph:g spec;
@@ -324,6 +322,48 @@ let test_deadline_zero_times_out () =
           (attempted <> [])
       | _ -> Alcotest.fail "expected a timeout")
 
+(* A component Newton's descent answers in 3 probes.  Cut to 1 probe,
+   Newton blows out and Howard answers: one fallback, one Newton
+   blowout in the exposition, and the same λ and witness as the
+   uncut portfolio. *)
+let test_newton_blowout_falls_through () =
+  let g = Sprand.generate ~seed:1 ~n:64 ~m:192 () in
+  let stats = Stats.create () in
+  ignore (Newton.minimum_cycle_mean ~stats g);
+  Alcotest.(check bool)
+    (Printf.sprintf "Newton needs %d >= 2 probes" stats.Stats.iterations)
+    true (stats.Stats.iterations >= 2);
+  let spec =
+    spec_of ~problem:Solver.Cycle_mean ~objective:Solver.Minimize
+      ~algorithm:Request.Auto ~verify:false
+  in
+  let req = Request.make ~id:1 ~graph:g spec in
+  let answer eng attempts =
+    match Engine.solve_attempts eng attempts req with
+    | Engine.Solved s -> (s.algorithm, s.fallbacks, s.lambda, s.cycle)
+    | _ -> Alcotest.fail "expected a solved outcome"
+  in
+  with_engine ~jobs:1 (fun eng ->
+      let alg, fallbacks, _, _ = answer eng (Engine.portfolio req) in
+      Alcotest.(check string) "uncut: Newton answers" "newton" alg;
+      Alcotest.(check int) "uncut: no fallback" 0 fallbacks);
+  with_engine ~jobs:1 (fun eng ->
+      let cut =
+        match Engine.portfolio req with
+        | newton :: rest -> { newton with Engine.iterations = Some 1 } :: rest
+        | [] -> Alcotest.fail "empty portfolio"
+      in
+      let alg, fallbacks, lambda, cycle = answer eng cut in
+      let expect = Option.get (Solver.solve ~algorithm:Registry.Howard g) in
+      Alcotest.(check string) "Howard answers" "howard" alg;
+      Alcotest.(check int) "one fallback" 1 fallbacks;
+      Helpers.check_ratio "same lambda" expect.Solver.lambda lambda;
+      Alcotest.(check (list int)) "same witness" expect.Solver.cycle cycle;
+      let expo = Metrics.to_prometheus (Engine.metrics_snapshot eng) in
+      Alcotest.(check bool) "ocr_alg_newton_blowouts_total 1" true
+        (List.mem "ocr_alg_newton_blowouts_total 1"
+           (String.split_on_char '\n' expo)))
+
 let suite =
   [
     Alcotest.test_case "fingerprint: 350 graphs, no collision" `Quick
@@ -365,3 +405,17 @@ let suite =
       Alcotest.test_case "fingerprint: of_graph allocates only its result"
         `Quick test_fingerprint_allocation;
     ]
+  @ [
+      Alcotest.test_case "engine: a Newton blowout falls through to Howard"
+        `Quick test_newton_blowout_falls_through;
+    ]
+  (* the Auto portfolio (Newton first) answers exactly what Howard
+     answers: λ, witness and component count, on every family *)
+  @ Helpers.qtests
+      (List.map
+         (qcheck_engine_matches_solver ~algorithm:Request.Auto
+            ~name:
+              (Printf.sprintf
+                 "engine auto --jobs %d = Solver.solve Howard on every family")
+            ~graphs:(Helpers.arb_family ()))
+         (List.sort_uniq compare [ 1; 4; Helpers.default_jobs ]))
