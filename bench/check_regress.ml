@@ -13,7 +13,10 @@
 
    i.e. a >2.5x slowdown with a 1 ms slack floor so micro-rows (tens of
    microseconds) never trip on scheduler jitter.  Speedups, ratios and
-   counts are never gated by pairs.  What *is* gated hard, with no
+   counts are not gated by pairs, with two exceptions: E21's
+   "newton_probes" (a deterministic count) must equal its baseline, and
+   its "newton_over_howard" (a within-run time ratio, in which the host
+   cancels) may grow at most 2x.  What *is* gated hard, with no
    tolerance, is every "identical", "exact_matches_float" and
    "access_complete" flag in the current file: the first encodes the
    determinism guarantee (parallel report bit-equal to jobs=1), the
@@ -125,7 +128,17 @@ let leaf_name path =
 let gated_metric path =
   List.mem (leaf_name path)
     [ "ms"; "ms_per_solve"; "ms_per_req"; "one_pass_ms"; "induced_scan_ms";
-      "cold_ms"; "warm_ms_median"; "cold_ms_median"; "exact_ms"; "float_ms" ]
+      "cold_ms"; "warm_ms_median"; "cold_ms_median"; "exact_ms"; "float_ms";
+      "newton_ms"; "howard_ms" ]
+
+(* Two more kinds of leaf gate against their baseline by rules of
+   their own: a deterministic count (Newton's probes in E21) must not
+   change at all, and a within-run time ratio (E21's newton_ms /
+   howard_ms, both sides timed on the same host, so the host cancels)
+   may grow at most [ratio_factor]-fold. *)
+let exact_counts = [ "newton_probes" ]
+let gated_ratios = [ "newton_over_howard" ]
+let ratio_factor = 2.0
 
 let failures = ref 0
 let warnings = ref 0
@@ -214,28 +227,45 @@ let check_pair ~baseline ~current =
         end
       | _ -> ())
     cur;
+  (* the current run's value at a baseline leaf's path, judged by
+     [ok] and reported by [pass] or [fail] *)
+  let against path ~ok ~pass ~fail =
+    match List.assoc_opt path cur with
+    | Some (Num c) ->
+      incr checked;
+      if ok c then Printf.printf "  ok %s: %s\n" path (pass c)
+      else begin
+        incr failures;
+        Printf.printf "FAIL %s: %s\n" path (fail c)
+      end
+    | Some _ ->
+      incr failures;
+      Printf.printf "FAIL %s: expected a number in the current run\n" path
+    | None ->
+      incr warnings;
+      Printf.printf "  warn %s: in baseline but not in current run\n" path
+  in
   List.iter
     (fun (path, leaf) ->
       match leaf with
       | Num _ when gated_metric path && cores_differ && path_parallel path ->
         Printf.printf "  skip %s: differing host core counts\n" path
-      | Num b when gated_metric path -> (
-        match List.assoc_opt path cur with
-        | Some (Num c) ->
-          incr checked;
-          let limit = (slowdown_factor *. b) +. slack_ms in
-          if c > limit then begin
-            incr failures;
-            Printf.printf "FAIL %s: %.4f ms vs baseline %.4f ms (limit %.4f)\n"
-              path c b limit
-          end
-          else Printf.printf "  ok %s: %.4f ms (baseline %.4f)\n" path c b
-        | Some _ ->
-          incr failures;
-          Printf.printf "FAIL %s: expected a number in the current run\n" path
-        | None ->
-          incr warnings;
-          Printf.printf "  warn %s: in baseline but not in current run\n" path)
+      | Num b when gated_metric path ->
+        let limit = (slowdown_factor *. b) +. slack_ms in
+        against path
+          ~ok:(fun c -> c <= limit)
+          ~pass:(fun c -> Printf.sprintf "%.4f ms (baseline %.4f)" c b)
+          ~fail:(fun c ->
+            Printf.sprintf "%.4f ms vs baseline %.4f ms (limit %.4f)" c b limit)
+      | Num b when List.mem (leaf_name path) exact_counts ->
+        let report c = Printf.sprintf "%g (baseline %g, must be equal)" c b in
+        against path ~ok:(fun c -> c = b) ~pass:report ~fail:report
+      | Num b when List.mem (leaf_name path) gated_ratios ->
+        let limit = ratio_factor *. b in
+        let report c =
+          Printf.sprintf "%.4f (baseline %.4f, limit %.4f)" c b limit
+        in
+        against path ~ok:(fun c -> c <= limit) ~pass:report ~fail:report
       | _ -> ())
     base
 

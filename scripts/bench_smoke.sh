@@ -15,7 +15,7 @@ set -eu
 run() { dune exec bench/main.exe -- "$@"; }
 gate() { dune exec bench/check_regress.exe -- "$@"; }
 
-for e in 1 11 12 13 14 15 16 18 19 20; do
+for e in 1 11 12 13 14 15 16 18 19 20 21; do
   run --only "E$e" --seeds 1 --bench-json "bench-e$e.json"
 done
 
@@ -38,7 +38,10 @@ gate --speedup bench-e14.json 4 1.2
 # session's fingerprint equals its snapshot's through scripted edits);
 # BENCH_pr30.json gates E18 again at the exact lane's timings with the
 # amortized negative-cycle search on integer probes (3-8x below the
-# BENCH_pr9.json rows).
+# BENCH_pr9.json rows); BENCH_pr31.json gates E21, Newton's descent
+# against Howard per component: its identical flags strict, its probe
+# counts exactly (deterministic, like bench/e9.expected) and its
+# within-run newton_ms / howard_ms at most 2x the recorded ratio.
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -49,7 +52,8 @@ gate \
   BENCH_pr10.json bench-e19.json \
   BENCH_pr17.json bench-e20.json \
   BENCH_pr23.json bench-e20.json \
-  BENCH_pr30.json bench-e18.json
+  BENCH_pr30.json bench-e18.json \
+  BENCH_pr31.json bench-e21.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)
