@@ -33,7 +33,7 @@ type exact_solver =
   ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->
   Digraph.t -> Ratio.t * int list
 (** The shape of {!minimum_cycle_mean}/{!minimum_cycle_ratio} applied
-    to an algorithm, and of {!Stern_brocot}'s entry points: strongly
+    to an algorithm, and of {!Newton}'s entry points: strongly
     connected input with at least one arc, exact optimum plus witness
     cycle.
     @raise Budget.Exceeded when the supplied budget runs out. *)

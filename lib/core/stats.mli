@@ -5,7 +5,7 @@
 type t = {
   mutable iterations : int;
       (** main-loop iterations (Burns, KO, YTO, Howard pivots/policies;
-          bisection steps for Lawler/OA) *)
+          bisection steps for Lawler/OA; probes for Newton) *)
   mutable relaxations : int;
       (** successful distance/potential updates *)
   mutable arcs_visited : int;
@@ -14,7 +14,7 @@ type t = {
       (** cycles whose mean/ratio was evaluated *)
   mutable oracle_calls : int;
       (** negative-cycle tests: Lawler's and OA's float probes and
-          every exact {!Critical.locate} (Stern–Brocot, the exact
+          every exact {!Critical.locate} (Newton's descent, the exact
           finisher, warm hints) *)
   mutable level : int;
       (** Karp-recurrence level reached at termination — the HO

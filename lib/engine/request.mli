@@ -22,7 +22,7 @@
 type algorithm_choice =
   | Auto
   | Fixed of Registry.algorithm
-  | Exact  (** the Stern–Brocot mediant search ({!Stern_brocot}) *)
+  | Exact  (** the exact lane: {!Newton}'s descent, unbudgeted *)
 
 val algorithm_choice_name : algorithm_choice -> string
 
