@@ -13,10 +13,11 @@
 
    i.e. a >2.5x slowdown with a 1 ms slack floor so micro-rows (tens of
    microseconds) never trip on scheduler jitter.  Speedups, ratios and
-   counts are not gated by pairs, with two exceptions: E21's
-   "newton_probes" (a deterministic count) must equal its baseline, and
-   its "newton_over_howard" (a within-run time ratio, in which the host
-   cancels) may grow at most 2x.  What *is* gated hard, with no
+   counts are not gated by pairs, with these exceptions: the
+   deterministic counts E21's "newton_probes" and E13's "resolved"
+   (components a session query re-solved) must equal their baseline,
+   and E21's "newton_over_howard" (a within-run time ratio, in which
+   the host cancels) may grow at most 2x.  What *is* gated hard, with no
    tolerance, is every "identical", "exact_matches_float" and
    "access_complete" flag in the current file: the first encodes the
    determinism guarantee (parallel report bit-equal to jobs=1), the
@@ -132,11 +133,12 @@ let gated_metric path =
       "newton_ms"; "howard_ms" ]
 
 (* Two more kinds of leaf gate against their baseline by rules of
-   their own: a deterministic count (Newton's probes in E21) must not
-   change at all, and a within-run time ratio (E21's newton_ms /
-   howard_ms, both sides timed on the same host, so the host cancels)
+   their own: a deterministic count (Newton's probes in E21, the
+   components an E13 edit round re-solved) must not change at all,
+   and a within-run time ratio (E21's newton_ms / howard_ms, both
+   sides timed on the same host, so the host cancels)
    may grow at most [ratio_factor]-fold. *)
-let exact_counts = [ "newton_probes" ]
+let exact_counts = [ "newton_probes"; "resolved" ]
 let gated_ratios = [ "newton_over_howard" ]
 let ratio_factor = 2.0
 

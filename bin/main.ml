@@ -545,8 +545,8 @@ let stream_cmd =
           protocol: one update ($(i,set_weight), $(i,set_transit), \
           $(i,add_arc), $(i,remove_arc)) or $(i,query) per line, answered \
           with epoch, exact lambda and witness.  Queries re-solve only the \
-          components the updates dirtied, warm-started from the last \
-          policy; per-epoch structural fingerprints feed an LRU answer \
+          components the updates dirtied, each from its last optimum; \
+          per-epoch structural fingerprints feed an LRU answer \
           cache.  See docs/DYN.md for the protocol.")
     Term.(
       const run $ graph_file_arg $ problem_arg $ objective_arg $ jobs_arg

@@ -27,8 +27,7 @@ let fa len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
    heap (the GC never scans or moves it) and therefore shareable
    across domains without copying, which is what lets sweep chunks on
    worker domains read [d] and write their winner tables in place.
-   One record serves repeated solves — Incremental keeps a single
-   scratch across warm-start re-solves — growing monotonically to the
+   One record serves repeated solves, growing monotonically to the
    largest instance seen. *)
 type scratch = {
   mutable cap : int; (* arrays valid for n <= cap *)
@@ -235,8 +234,8 @@ let apply_winners s ~n ~chunks st =
    with it.  The grain never affects results, only where the arcs are
    swept. *)
 
-let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
-    ?pool ?sweep_min_arcs ~problem ~epsilon g =
+let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
+    ?sweep_min_arcs ~problem ~epsilon g =
   if Digraph.m g = 0 then invalid_arg "Howard: graph has no arcs";
   let tr = !Obs.enabled_flag in
   if tr then Trace.begin_span sp_solve;
@@ -284,41 +283,14 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
   let st = match stats with Some st -> st | None -> Stats.create () in
   let d = s.d and pi = s.pi in
   (* initial policy: cheapest out-arc (Figure 1, lines 1-4) by
-     default; a caller-supplied warm-start policy overrides [init]
-     (the incremental re-solve path); the alternatives ablate how much
-     the improved initialization buys (bench E9) *)
+     default; the alternatives ablate how much the improved
+     initialization buys (bench E9) *)
   for u = 0 to n - 1 do
     d.{u} <- infinity;
     pi.(u) <- -1
   done;
-  (match policy with
-  | Some p ->
-    if Array.length p <> n then invalid_arg "Howard: wrong policy length";
-    Array.iteri
-      (fun u a ->
-        if a < 0 || a >= m || Digraph.src g a <> u then
-          invalid_arg "Howard: invalid warm-start policy";
-        pi.(u) <- a;
-        d.{u} <- wf.{a})
-      p
-  | None -> ());
-  (* warm-started distances: the weight init above only seeds nodes the
-     first backward BFS will not reach (those feeding other policy
-     cycles), and stale-but-nearly-feasible potentials from the last
-     solve beat raw arc weights there by orders of magnitude — with
-     them an unchanged graph reconverges in one sweep *)
-  (match potentials with
-  | Some pot ->
-    if Array.length pot <> n then
-      invalid_arg "Howard: wrong potentials length";
-    if policy <> None then
-      for u = 0 to n - 1 do
-        d.{u} <- pot.(u)
-      done
-  | None -> ());
-  (match (policy, init) with
-  | Some _, _ -> ()
-  | None, `Cheapest_arc ->
+  (match init with
+  | `Cheapest_arc ->
     for a = 0 to m - 1 do
       let u = srcs.{a} in
       let w = wf.{a} in
@@ -327,7 +299,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
         pi.(u) <- a
       end
     done
-  | None, `First_arc ->
+  | `First_arc ->
     for a = 0 to m - 1 do
       let u = srcs.{a} in
       if pi.(u) < 0 then begin
@@ -335,7 +307,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
         d.{u} <- wf.{a}
       end
     done
-  | None, `Random seed ->
+  | `Random seed ->
     (* xorshift-mixed reservoir choice among each node's out-arcs *)
     let state = ref (seed lxor 0x2545F4914F6CDD1D) in
     let next () =
@@ -521,40 +493,17 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
   for i = !cycle_len - 1 downto 0 do
     cycle := s.cycle_arcs.(i) :: !cycle
   done;
-  (match potentials with
-  | Some pot ->
-    for u = 0 to n - 1 do
-      pot.(u) <- d.{u}
-    done
-  | None -> ());
-  let lambda, witness = Critical.improve_to_optimal ?stats ~den g !cycle in
+  let answer = Critical.improve_to_optimal ?stats ~den g !cycle in
   if tr then Trace.end_span sp_solve;
-  (lambda, witness, Array.sub pi 0 n)
+  answer
 
 let minimum_cycle_mean ?stats ?budget ?(epsilon = 1e-9) ?init ?scratch ?pool
     ?sweep_min_arcs g =
-  let lambda, cycle, _ =
-    solve ?stats ?budget ?init ?scratch ?pool ?sweep_min_arcs
-      ~problem:Critical.Cycle_mean ~epsilon g
-  in
-  (lambda, cycle)
+  solve ?stats ?budget ?init ?scratch ?pool ?sweep_min_arcs
+    ~problem:Critical.Cycle_mean ~epsilon g
 
 let minimum_cycle_ratio ?stats ?budget ?(epsilon = 1e-9) ?init ?scratch ?pool
     ?sweep_min_arcs g =
   Critical.assert_ratio_well_posed g;
-  let lambda, cycle, _ =
-    solve ?stats ?budget ?init ?scratch ?pool ?sweep_min_arcs
-      ~problem:Critical.Cycle_ratio ~epsilon g
-  in
-  (lambda, cycle)
-
-let minimum_cycle_mean_warm ?stats ?(epsilon = 1e-9) ?policy ?potentials
-    ?scratch ?pool ?sweep_min_arcs g =
-  solve ?stats ?policy ?potentials ?scratch ?pool ?sweep_min_arcs
-    ~problem:Critical.Cycle_mean ~epsilon g
-
-let minimum_cycle_ratio_warm ?stats ?(epsilon = 1e-9) ?policy ?potentials
-    ?scratch ?pool ?sweep_min_arcs g =
-  Critical.assert_ratio_well_posed g;
-  solve ?stats ?policy ?potentials ?scratch ?pool ?sweep_min_arcs
+  solve ?stats ?budget ?init ?scratch ?pool ?sweep_min_arcs
     ~problem:Critical.Cycle_ratio ~epsilon g

@@ -49,10 +49,10 @@ type init = [ `Cheapest_arc | `First_arc | `Random of int ]
 
 type scratch
 (** The kernel's preallocated workspace.  Passing the same scratch to
-    repeated solves (the warm-start/incremental path, or any solve
-    loop) skips re-allocating the per-node arrays; it grows
-    monotonically to the largest instance seen.  A scratch must not be
-    shared between concurrently running solves (one per domain). *)
+    repeated solves (any solve loop) skips re-allocating the per-node
+    arrays; it grows monotonically to the largest instance seen.  A
+    scratch must not be shared between concurrently running solves
+    (one per domain). *)
 
 val create_scratch : unit -> scratch
 (** An empty workspace; arrays are sized lazily on first use. *)
@@ -83,32 +83,3 @@ val minimum_cycle_ratio :
   ?scratch:scratch -> ?pool:Executor.t -> ?sweep_min_arcs:int ->
   Digraph.t -> Ratio.t * int list
 (** Cost-to-time ratio form: policy values use [w − λ·t]. *)
-
-val minimum_cycle_mean_warm :
-  ?stats:Stats.t -> ?epsilon:float -> ?policy:int array ->
-  ?potentials:float array -> ?scratch:scratch -> ?pool:Executor.t ->
-  ?sweep_min_arcs:int -> Digraph.t -> Ratio.t * int list * int array
-(** Warm-start entry point for repeated re-solves (the paper's §1.3
-    notes the applications "require that they be run many times"): the
-    optional [policy] (one out-arc id per node, e.g. the third
-    component of a previous call's result) seeds the iteration, which
-    typically converges in one or two sweeps after a small weight
-    change.  [potentials] is an in/out buffer of one distance per node:
-    on entry (with [policy]) it seeds the node distances — without it a
-    re-solve falls back to raw arc weights for nodes behind other
-    policy cycles and re-derives everything — and on return it holds
-    the final distances for the next call.  Returns the final policy
-    along with the optimum.  Used by {!Warm} (and through it
-    {!Incremental}), which also threads one [scratch] through every
-    re-solve so repeat solves allocate no fresh workspace.
-    @raise Invalid_argument if [policy] or [potentials] has the wrong
-    length, or [policy] names an arc that does not leave its node. *)
-
-val minimum_cycle_ratio_warm :
-  ?stats:Stats.t -> ?epsilon:float -> ?policy:int array ->
-  ?potentials:float array -> ?scratch:scratch -> ?pool:Executor.t ->
-  ?sweep_min_arcs:int -> Digraph.t -> Ratio.t * int list * int array
-(** Cost-to-time ratio form of {!minimum_cycle_mean_warm}.
-    @raise Invalid_argument on zero-total-transit cycles or an invalid
-    [policy] (see {!minimum_cycle_mean_warm}; {!Warm.solve} repairs
-    stale policies instead of raising). *)

@@ -16,7 +16,8 @@ type report = {
 (* One cyclic SCC of the current materialization.  [p_sub] holds
    min-form weights (negated for Maximize sessions) and is mutated in
    place on label updates, so a clean component's cached [p_result]
-   always describes its current labels. *)
+   always describes its current labels.  A dirty component's
+   [p_result] is stale: only its λ is read, as the re-solve's hint. *)
 type part = {
   p_nodes : int array; (* session node ids, increasing *)
   p_arcs : int array;  (* session arc ids, in sub arc order *)
@@ -57,10 +58,6 @@ type t = {
   mutable comp_of_node : int array;   (* node -> part index | -1 *)
   mutable sub_idx : int array;        (* intra-part session arc -> sub arc *)
   pending_dirty : int Vec.t; (* label edits made while struct invalid *)
-  (* warm-start state *)
-  last_policy : int array; (* node -> last chosen out-arc (session id) *)
-  last_pot : float array;  (* node -> last Howard distance (potential) *)
-  scratch : Howard.scratch;
   (* fingerprint lane sums over the live arcs at their materialized
      ids, with user-form weights; valid with the materialization *)
   mutable fp_sum : Fingerprint.sum;
@@ -118,9 +115,6 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     comp_of_node = Array.make (Digraph.n g) (-1);
     sub_idx = [||];
     pending_dirty = Vec.create ();
-    last_policy = Array.make (Digraph.n g) (-1);
-    last_pot = Array.make (Digraph.n g) 0.0;
-    scratch = Howard.create_scratch ();
     fp_sum = Fingerprint.zero ();
     last_report = None;
   }
@@ -182,7 +176,10 @@ let rebuild_mat t =
    node set and (session-id) arc set are unchanged inherit their cached
    optimum and dirtiness — the incremental maintenance promise: an
    insertion or deletion only costs re-solves in the components it
-   actually touched (merged, split, or entered). *)
+   actually touched (merged, split, or entered).  A touched component
+   is dirty and carries the old result of the component its first node
+   was in, so its re-solve starts from that λ: any λ is a sound hint,
+   and after a small edit it is often still the optimum. *)
 let rebuild_parts t =
   let old_parts = t.parts and old_comp = t.comp_of_node in
   rebuild_mat t;
@@ -201,23 +198,19 @@ let rebuild_parts t =
         Array.iter (fun u -> t.comp_of_node.(u) <- ci) p_nodes;
         Array.iteri (fun i a -> t.sub_idx.(a) <- i) p_arcs;
         (* carry-over: same nodes + same session arcs = same component *)
-        let inherited =
+        let old =
           let rep = p_nodes.(0) in
           let oc = if Array.length old_comp = 0 then -1 else old_comp.(rep) in
-          if oc >= 0 && oc < Array.length old_parts then begin
-            let op = old_parts.(oc) in
-            if op.p_nodes = p_nodes && op.p_arcs = p_arcs then
-              Some (op.p_dirty, op.p_result)
-            else None
-          end
+          if oc >= 0 && oc < Array.length old_parts then Some old_parts.(oc)
           else None
         in
-        match inherited with
-        | Some (d, r) ->
-          { p_nodes; p_arcs; p_sub = sp.Scc.sub; p_dirty = d; p_result = r }
-        | None ->
+        match old with
+        | Some op when op.p_nodes = p_nodes && op.p_arcs = p_arcs ->
+          { p_nodes; p_arcs; p_sub = sp.Scc.sub; p_dirty = op.p_dirty;
+            p_result = op.p_result }
+        | _ ->
           { p_nodes; p_arcs; p_sub = sp.Scc.sub; p_dirty = true;
-            p_result = None })
+            p_result = Option.bind old (fun op -> op.p_result) })
       subs
   in
   t.parts <- parts;
@@ -382,45 +375,36 @@ let preflight t =
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Warm policy for one component: the node's last chosen out-arc when
-   it is still a valid intra-component choice, else -1 (repaired to the
-   cheapest out-arc by Warm.solve_warm). *)
-let assemble_policy t ci (p : part) =
-  let k = Array.length p.p_nodes in
-  let policy = Array.make k (-1) in
-  for i = 0 to k - 1 do
-    let u = p.p_nodes.(i) in
-    let a = t.last_policy.(u) in
-    if
-      a >= 0 && a < arc_count t
-      && Vec.get t.alive a
-      && Vec.get t.srcs a = u
-      && t.comp_of_node.(Vec.get t.dsts a) = ci
-    then policy.(i) <- t.sub_idx.(a)
-  done;
-  policy
+(* bench/e2e's per-layer metric [Warm.locate.self_ms_per_query] reads
+   the hint probe's time under this span name. *)
+let sp_locate = Obs.intern "warm.locate"
 
-let solve_part t ?pool ~scratch ci (p : part) =
-  let policy = assemble_policy t ci p in
-  let k = Array.length p.p_nodes in
-  let pot = Array.make k 0.0 in
-  for i = 0 to k - 1 do
-    pot.(i) <- t.last_pot.(p.p_nodes.(i))
-  done;
+(* Re-solve one dirty component.  One location pass classifies the
+   stale optimum against the current labels: [Optimal] proves it is
+   still λ*, [Above] hands a strictly better cycle to the exact
+   finisher, and [Below] (the optimum rose) or a component with no
+   stale optimum runs Newton's descent.  Every path ends in the same
+   location pass at λ* as a cold solve, whose witness depends on the
+   graph alone, so the answer is bit-identical to it. *)
+let solve_part t (p : part) =
   let st = Stats.create () in
-  (* the stale cached optimum is the hint: for label-only edits it is
-     the exact answer of the pre-edit component, and most edits leave
-     it confirmable by a single location pass *)
-  let hint = Option.map fst p.p_result in
-  (* [pool] chunks the improvement sweep inside this component — the
-     interesting case being one giant dirty SCC, where the fan-out of
-     [query] has nothing to parallelize; Fanout.run decides which
-     components get it *)
-  let lambda, cyc, pol =
-    Warm.solve_warm ~stats:st ~policy ~potentials:pot ~scratch ?hint
-      ?pool t.prob p.p_sub
+  let g = p.p_sub in
+  let descend () = Newton.descent ~stats:st ~who:"Dyn" ~problem:t.prob g in
+  let lambda, cyc =
+    match p.p_result with
+    | None -> descend ()
+    | Some (hint, _) -> (
+      let den = Critical.den t.prob g in
+      let tr = !Obs.enabled_flag in
+      if tr then Trace.begin_span sp_locate;
+      let located = Critical.locate ~stats:st ~den g hint in
+      if tr then Trace.end_span sp_locate;
+      match located with
+      | Critical.Optimal w -> (hint, w)
+      | Critical.Above c -> Critical.improve_to_optimal ~stats:st ~den g c
+      | Critical.Below -> descend ())
   in
-  (lambda, List.map (fun i -> p.p_arcs.(i)) cyc, pol, pot, st)
+  (lambda, List.map (fun i -> p.p_arcs.(i)) cyc, st)
 
 let query t =
   match t.last_report with
@@ -435,31 +419,21 @@ let query t =
         (List.filter (fun ci -> parts.(ci).p_dirty) (List.init k Fun.id))
     in
     let resolved = Array.length dirty in
-    (* the session scratch serves every re-solve on the calling domain,
-       so the steady path allocates no fresh workspace; pooled tasks
-       must not share it *)
-    let shared = Fanout.serial ?pool:t.pool resolved in
     let solved, _ =
       Fanout.run ?pool:t.pool
         ~arcs:(fun ci -> Digraph.m parts.(ci).p_sub)
-        (fun ?pool ci ->
-          let scratch =
-            if shared then t.scratch else Howard.create_scratch ()
-          in
-          solve_part t ?pool ~scratch ci parts.(ci))
+        (fun ?pool:_ ci -> solve_part t parts.(ci))
         dirty
     in
-    (* join: commit results and feed final policies back, in component
-       order, on the coordinating thread *)
+    (* join: commit results in component order, on the coordinating
+       thread *)
     let stats = Stats.create () in
     Array.iteri
       (fun j ci ->
-        let lambda, cyc, pol, pot, st = Option.get solved.(j) in
+        let lambda, cyc, st = Option.get solved.(j) in
         let p = parts.(ci) in
         p.p_result <- Some (lambda, cyc);
         p.p_dirty <- false;
-        Array.iteri (fun i a -> t.last_policy.(p.p_nodes.(i)) <- p.p_arcs.(a)) pol;
-        Array.iteri (fun i v -> t.last_pot.(p.p_nodes.(i)) <- v) pot;
         Stats.add stats st)
       dirty;
     let answer =

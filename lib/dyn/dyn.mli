@@ -16,10 +16,13 @@
       the containing cyclic component (cross-component arcs dirty
       nothing), while structural updates — which may merge or split
       components — lazily trigger one re-partition in which unchanged
-      components carry their cached optimum and last policy over;
-    - per-component {b warm starts}: dirty components re-solve with
-      Howard seeded from the component's last policy through the shared
-      {!Warm} core and the kernel's reusable zero-allocation scratch.
+      components carry their cached optimum over, and changed ones
+      carry the optimum of the old component their first node was in;
+    - per-component {b hints}: a dirty component re-solves from its
+      stale optimum λ.  One {!Critical.locate} at λ confirms it, or
+      finishes from the better cycle it finds with
+      {!Critical.improve_to_optimal}; when the optimum rose past λ, or
+      there is no λ, {!Newton.descent} solves the component.
 
     Dirty components re-solve through the same {!Fanout} loop and
     component-order reduction as [Solver.solve ~jobs], concurrently on

@@ -255,37 +255,43 @@ let bounded_session_memory () =
   Alcotest.(check int) "epoch" 20_000 (Dyn.epoch s)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental: ratio problems and set_transit (satellite)             *)
+(* Single-SCC ratio sessions and set_transit                           *)
 (* ------------------------------------------------------------------ *)
 
-let incremental_ratio () =
+let single_scc_ratio () =
   let g = Sprand.generate ~seed:7 ~n:30 ~m:90 ~transits:(1, 5) () in
-  let inc = Incremental.create ~problem:Critical.Cycle_ratio g in
+  let s = Dyn.create ~problem:Solver.Cycle_ratio g in
   let rng = Rng.create 11 in
   for _ = 1 to 25 do
     let a = Rng.int rng (Digraph.m g) in
-    if Rng.int rng 2 = 0 then
-      Incremental.set_weight inc a (Rng.in_range rng 1 10000)
-    else Incremental.set_transit inc a (Rng.in_range rng 1 5);
-    let lambda, cycle = Incremental.solve inc in
-    let want_l, want_c =
-      Howard.minimum_cycle_ratio (Incremental.graph inc)
-    in
-    Helpers.check_ratio "warm ratio = cold ratio" want_l lambda;
-    Alcotest.(check (list int)) "same witness" want_c cycle
+    if Rng.int rng 2 = 0 then Dyn.set_weight s a (Rng.in_range rng 1 10000)
+    else Dyn.set_transit s a (Rng.in_range rng 1 5);
+    let want_l, want_c = Howard.minimum_cycle_ratio (Dyn.graph s) in
+    match Dyn.query s with
+    | Some r ->
+      Helpers.check_ratio "session ratio = cold ratio" want_l r.Dyn.lambda;
+      Alcotest.(check (list int)) "same witness" want_c
+        (List.map (Dyn.to_graph_arc s) r.Dyn.cycle)
+    | None -> Alcotest.fail "expected a cycle"
   done
 
-let incremental_transit_guard () =
-  let g = Digraph.of_weighted_arcs 2 [ (0, 1, 1); (1, 0, 2) ] in
-  let inc = Incremental.create g in
+let set_transit_guards () =
+  let g = Digraph.of_weighted_arcs 3 [ (0, 1, 1); (1, 0, 2); (1, 2, 3) ] in
+  let s = Dyn.create g in
   Alcotest.(check bool) "negative transit raises" true
-    (match Incremental.set_transit inc 0 (-1) with
+    (match Dyn.set_transit s 0 (-1) with
     | () -> false
     | exception Invalid_argument _ -> true);
   Alcotest.(check bool) "bad arc raises" true
-    (match Incremental.set_transit inc 99 1 with
+    (match Dyn.set_transit s 99 1 with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true);
+  Dyn.remove_arc s 2;
+  Alcotest.(check bool) "dead arc raises" true
+    (match Dyn.set_transit s 2 1 with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check int) "failed updates do not tick the epoch" 1 (Dyn.epoch s)
 
 (* ------------------------------------------------------------------ *)
 (* NDJSON codec                                                        *)
@@ -445,10 +451,9 @@ let suite =
       fingerprint_edit_allocation;
     Alcotest.test_case "20 000 label edits keep the live heap flat" `Quick
       bounded_session_memory;
-    Alcotest.test_case "Incremental ratio sessions warm = cold" `Quick
-      incremental_ratio;
-    Alcotest.test_case "Incremental.set_transit guards" `Quick
-      incremental_transit_guard;
+    Alcotest.test_case "single-SCC ratio = cold" `Quick
+      single_scc_ratio;
+    Alcotest.test_case "Dyn.set_transit guards" `Quick set_transit_guards;
     Alcotest.test_case "protocol codec roundtrip" `Quick codec_roundtrip;
     Alcotest.test_case "protocol codec rejects malformed lines" `Quick
       codec_errors;
@@ -499,3 +504,47 @@ let qcheck_single_scc_sessions =
       true)
 
 let suite = suite @ Helpers.qtests [ qcheck_single_scc_sessions ]
+
+(* ------------------------------------------------------------------ *)
+(* The re-solve path: hint probe, then Newton                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An arc insertion makes a new component, which carries the old λ as
+   its hint: a heavy arc leaves the optimum where it was, so one
+   location pass answers, with no descent.  Removing a witness arc
+   raises the optimum past the hint, and Newton's descent answers. *)
+let hint_then_newton () =
+  let g = Sprand.generate ~seed:21 ~n:256 ~m:768 () in
+  let s = Dyn.create g in
+  let cold () =
+    cold_answer ~problem:Solver.Cycle_mean ~objective:Solver.Minimize ~jobs:1
+      (Dyn.graph s)
+  in
+  let query () =
+    match Dyn.query s with
+    | Some r -> r
+    | None -> Alcotest.fail "expected a cycle"
+  in
+  let first = query () in
+  Alcotest.(check int) "one component" 1 first.Dyn.components;
+  ignore (Dyn.add_arc s ~src:0 ~dst:1 ~weight:1_000_000 ~transit:1);
+  let r = query () in
+  Alcotest.(check int) "heavy arc: one probe" 1 r.Dyn.stats.Stats.oracle_calls;
+  Alcotest.(check int) "heavy arc: no descent" 0 r.Dyn.stats.Stats.iterations;
+  Alcotest.(check string) "heavy arc: = cold" (show_answer (cold ()))
+    (show_answer (session_answer s));
+  Dyn.remove_arc s (List.hd r.Dyn.cycle);
+  let r' = query () in
+  Alcotest.(check bool) "witness arc removed: the optimum rose" true
+    (Ratio.lt r.Dyn.lambda r'.Dyn.lambda);
+  Alcotest.(check bool) "witness arc removed: Newton descends" true
+    (r'.Dyn.stats.Stats.iterations > 0);
+  Alcotest.(check string) "witness arc removed: = cold" (show_answer (cold ()))
+    (show_answer (session_answer s))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "heavy arc: one probe; witness cut: Newton" `Quick
+        hint_then_newton;
+    ]

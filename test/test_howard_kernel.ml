@@ -52,40 +52,49 @@ let test_scratch_reuse () =
   check "then a tiny ring" (Families.ring 5);
   check "mid-size" (Sprand.generate ~seed:12 ~n:100 ~m:400 ())
 
-let test_warm_start_with_scratch () =
+(* A run stopped by its budget leaves the scratch mid-trajectory:
+   distances, policy and winner stamps of an unfinished iteration.  The
+   next solve on that scratch must answer like a fresh one. *)
+let test_scratch_after_blown_budget () =
   let g = Sprand.generate ~seed:13 ~n:200 ~m:600 () in
+  let fresh_st = Stats.create () in
+  let fresh_l, fresh_c = Howard.minimum_cycle_mean ~stats:fresh_st g in
   let scratch = Howard.create_scratch () in
-  let l0, _, policy = Howard.minimum_cycle_mean_warm ~scratch g in
-  let l1, c1, _ = Howard.minimum_cycle_mean_warm ~scratch ~policy g in
-  Helpers.check_ratio "re-solve from the optimal policy" l0 l1;
-  Alcotest.(check bool) "witness is a cycle" true (Digraph.is_cycle g c1)
+  (match
+     Howard.minimum_cycle_mean ~init:`First_arc
+       ~budget:(Budget.create ~max_iterations:1 ()) ~scratch g
+   with
+  | exception Budget.Exceeded _ -> ()
+  | _ -> Alcotest.fail "the capped run should stop early");
+  let st = Stats.create () in
+  let l, c = Howard.minimum_cycle_mean ~stats:st ~scratch g in
+  Helpers.check_ratio "lambda" fresh_l l;
+  Alcotest.(check (list int)) "cycle" fresh_c c;
+  Alcotest.(check bool) "stats bit-equal" true (fresh_st = st)
 
 (* ------------------------------------------------------------------ *)
 (* Chunked improvement sweep: bit-identical to the serial kernel       *)
 (* ------------------------------------------------------------------ *)
 
-(* The full kernel trajectory, not just the answer: λ, witness, final
-   policy, and every operation counter must match the serial run for
-   any pool size.  Tie-heavy families are the interesting inputs — with
-   all weights equal every arc into a node proposes the same candidate,
-   so any deviation from the lowest-arc-id merge rule shows up as a
-   different final policy. *)
+(* The kernel trajectory, not just the answer: λ, witness and every
+   operation counter must match the serial run for any pool size.
+   Tie-heavy families are the interesting inputs — with all weights
+   equal every arc into a node proposes the same candidate, so any
+   deviation from the lowest-arc-id merge rule shows up as a different
+   trajectory. *)
 let check_chunked_matches_serial name g jobs =
   let st0 = Stats.create () in
-  let l0, c0, p0 =
-    Howard.minimum_cycle_mean_warm ~stats:st0 ~sweep_min_arcs:64 g
-  in
+  let l0, c0 = Howard.minimum_cycle_mean ~stats:st0 ~sweep_min_arcs:64 g in
   let pool = Executor.create ~jobs in
   Fun.protect
     ~finally:(fun () -> Executor.shutdown pool)
     (fun () ->
       let st = Stats.create () in
-      let l, c, p =
-        Howard.minimum_cycle_mean_warm ~stats:st ~pool ~sweep_min_arcs:64 g
+      let l, c =
+        Howard.minimum_cycle_mean ~stats:st ~pool ~sweep_min_arcs:64 g
       in
       Helpers.check_ratio (name ^ ": lambda") l0 l;
       Alcotest.(check (list int)) (name ^ ": cycle") c0 c;
-      Alcotest.(check (array int)) (name ^ ": final policy") p0 p;
       Alcotest.(check bool)
         (name ^ ": stats bit-equal") true (st0 = st))
 
@@ -115,9 +124,7 @@ let qcheck_chunked_sweep_matches_serial =
     (Helpers.arb_strongly_connected ~max_n:10 ~max_extra:20 ~wlo:(-5) ~whi:5 ())
     (fun g ->
       let st0 = Stats.create () in
-      let l0, c0, p0 =
-        Howard.minimum_cycle_mean_warm ~stats:st0 ~sweep_min_arcs:2 g
-      in
+      let l0, c0 = Howard.minimum_cycle_mean ~stats:st0 ~sweep_min_arcs:2 g in
       List.for_all
         (fun jobs ->
           let pool = Executor.create ~jobs in
@@ -125,11 +132,10 @@ let qcheck_chunked_sweep_matches_serial =
             ~finally:(fun () -> Executor.shutdown pool)
             (fun () ->
               let st = Stats.create () in
-              let l, c, p =
-                Howard.minimum_cycle_mean_warm ~stats:st ~pool
-                  ~sweep_min_arcs:2 g
+              let l, c =
+                Howard.minimum_cycle_mean ~stats:st ~pool ~sweep_min_arcs:2 g
               in
-              Ratio.equal l0 l && c0 = c && p0 = p && st0 = st))
+              Ratio.equal l0 l && c0 = c && st0 = st))
         Helpers.jobs_sweep)
 
 (* The parallel sweep's only steady-state allocation is the O(chunks)
@@ -217,9 +223,9 @@ let test_disabled_tracing_zero_allocation () =
        per_iter)
     true (per_iter = 0.0)
 
-(* Enabling tracing must not perturb any observable output: λ, witness,
-   final policy and every Stats counter bit-equal with recording on and
-   off, serial and parallel.  (Ring capacity is tiny on purpose — wrap
+(* Enabling tracing must not perturb any observable output: λ, witness
+   and every Stats counter bit-equal with recording on and off, serial
+   and parallel.  (Ring capacity is tiny on purpose — wrap
    -around drops records, never correctness.) *)
 let qcheck_tracing_invisible =
   QCheck.Test.make
@@ -229,10 +235,10 @@ let qcheck_tracing_invisible =
     (fun g ->
       let solve pool =
         let st = Stats.create () in
-        let l, c, p =
-          Howard.minimum_cycle_mean_warm ~stats:st ?pool ~sweep_min_arcs:2 g
+        let l, c =
+          Howard.minimum_cycle_mean ~stats:st ?pool ~sweep_min_arcs:2 g
         in
-        (l, c, p, st)
+        (l, c, st)
       in
       let with_pool jobs f =
         if jobs = 1 then f None
@@ -246,15 +252,15 @@ let qcheck_tracing_invisible =
       List.for_all
         (fun jobs ->
           with_pool jobs (fun pool ->
-              let l0, c0, p0, st0 = solve pool in
+              let l0, c0, st0 = solve pool in
               Trace.configure ~capacity:1024 ();
               Obs.enable ();
               let result =
                 Fun.protect ~finally:Obs.disable (fun () -> solve pool)
               in
-              let l, c, p, st = result in
+              let l, c, st = result in
               Trace.configure ();
-              Ratio.equal l0 l && c0 = c && p0 = p && st0 = st))
+              Ratio.equal l0 l && c0 = c && st0 = st))
         [ 1; 8 ])
 
 let qcheck_random_init_agrees =
@@ -315,8 +321,8 @@ let suite =
     Alcotest.test_case "steady state allocates O(1) words" `Quick
       test_steady_state_allocation;
     Alcotest.test_case "scratch reuse across graphs" `Quick test_scratch_reuse;
-    Alcotest.test_case "warm start threads scratch" `Quick
-      test_warm_start_with_scratch;
+    Alcotest.test_case "blown-budget scratch = fresh" `Quick
+      test_scratch_after_blown_budget;
     Alcotest.test_case "chunked sweep bit-identical on tie-heavy graphs"
       `Quick test_chunked_sweep_tie_heavy;
     Alcotest.test_case "parallel steady state allocates O(chunks) words"
