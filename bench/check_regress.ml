@@ -16,8 +16,9 @@
    counts are not gated by pairs, with these exceptions: the
    deterministic counts E21's "newton_probes" and E13's "resolved"
    (components a session query re-solved) must equal their baseline,
-   and E21's "newton_over_howard" (a within-run time ratio, in which
-   the host cancels) may grow at most 2x.  What *is* gated hard, with no
+   and the within-run time ratios E21's "newton_over_howard" and E22's
+   "potentials_over_certify" (both sides timed in the same run, so the
+   host cancels) may grow at most 2x.  What *is* gated hard, with no
    tolerance, is every "identical", "exact_matches_float" and
    "access_complete" flag in the current file: the first encodes the
    determinism guarantee (parallel report bit-equal to jobs=1), the
@@ -44,11 +45,11 @@
    ordinary baseline/current pairs.
 
    Rows inside arrays are matched by their discriminator fields
-   (family/n/m/jobs/components_edited), not by position, so reordering
-   or extending an experiment does not break the gate; a baseline row
-   with no counterpart in the current file is reported but only warns
-   (a smoke run may legitimately cover fewer rows than the committed
-   full run). *)
+   (family/problem/objective/n/m/jobs/components_edited, ...), not by
+   position, so reordering or extending an experiment does not break
+   the gate; a baseline row with no counterpart in the current file is
+   reported but only warns (a smoke run may legitimately cover fewer
+   rows than the committed full run). *)
 
 open Trace_read
 
@@ -73,7 +74,7 @@ let load path =
 (* index.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let discriminators = [ "family"; "graph"; "problem"; "n"; "m"; "jobs";
+let discriminators = [ "family"; "graph"; "problem"; "objective"; "n"; "m"; "jobs";
                        "workload"; "trace"; "obs"; "components_edited";
                        "cluster"; "workers" ]
 
@@ -135,11 +136,11 @@ let gated_metric path =
 (* Two more kinds of leaf gate against their baseline by rules of
    their own: a deterministic count (Newton's probes in E21, the
    components an E13 edit round re-solved) must not change at all,
-   and a within-run time ratio (E21's newton_ms / howard_ms, both
-   sides timed on the same host, so the host cancels)
-   may grow at most [ratio_factor]-fold. *)
+   and a within-run time ratio (E21's newton_ms / howard_ms, E22's
+   potentials_ms / certify_ms, both sides timed on the same host, so
+   the host cancels) may grow at most [ratio_factor]-fold. *)
 let exact_counts = [ "newton_probes"; "resolved" ]
-let gated_ratios = [ "newton_over_howard" ]
+let gated_ratios = [ "newton_over_howard"; "potentials_over_certify" ]
 let ratio_factor = 2.0
 
 let failures = ref 0

@@ -32,7 +32,7 @@ type outcome =
               descent) *)
       cached : bool;  (** served from the LRU / batch dedup *)
       fallbacks : int;  (** portfolio steps taken past the first *)
-      certified : bool;  (** [Verify.certify] passed (verify requests) *)
+      certified : bool;  (** the {!Verify} certificate passed (verify requests) *)
       exact : Ratio.t option;
           (** [mode=exact] requests: λ* recomputed from the witness
               cycle's integer weight/transit sums
@@ -88,10 +88,11 @@ val metrics_snapshot : t -> Metrics.t
 
 val solve : t -> Request.t -> response
 (** Serve one request: probe the cache (re-certifying the hit against
-    the request's actual graph when [verify] is set — a failing
-    certificate is counted as a fingerprint collision and re-solved),
-    else solve fresh, fanning nontrivial SCCs across the pool, and
-    insert the result. *)
+    the request's actual graph when [verify] is set — by the entry's
+    stored potentials in one pass over the arcs when they hold, else by
+    the full {!Verify} probe; a failing full certificate is counted as
+    a fingerprint collision and re-solved), else solve fresh, fanning
+    nontrivial SCCs across the pool, and insert the result. *)
 
 val solve_path : t -> id:int -> Request.spec -> (response, string) result
 (** Serve one request naming a graph file — the [ocr serve] and

@@ -50,6 +50,8 @@ let solved = row "ocr_solved_total" Count
 let cache_hits = row "ocr_cache_hits_total" Count
 let cache_misses = row "ocr_cache_misses_total" Count
 let collisions = row "ocr_cache_collisions_total" Count
+let verify_hit_potentials = row "ocr_verify_hit_potentials_total" Count
+let verify_hit_probes = row "ocr_verify_hit_probes_total" Count
 let acyclic = row "ocr_acyclic_total" Count
 let timeouts = row "ocr_timeouts_total" Count
 let rejected = row "ocr_rejected_total" Count
@@ -176,6 +178,8 @@ let pp_summary ppf t =
     (v requests) (v solved) (v exact) (v acyclic) (v timeouts) (v rejected);
   Format.fprintf ppf "cache: hits=%d misses=%d collisions=%d hit-rate=%.2f@,"
     (v cache_hits) (v cache_misses) (v collisions) (hit_rate t);
+  Format.fprintf ppf "verify hits: potentials=%d probes=%d@,"
+    (v verify_hit_potentials) (v verify_hit_probes);
   Format.fprintf ppf "portfolio: fallbacks=%d" (v fallbacks);
   List.iter
     (fun (alg, c) ->

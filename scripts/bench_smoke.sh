@@ -15,7 +15,7 @@ set -eu
 run() { dune exec bench/main.exe -- "$@"; }
 gate() { dune exec bench/check_regress.exe -- "$@"; }
 
-for e in 1 11 12 13 14 15 16 18 19 20 21; do
+for e in 1 11 12 13 14 15 16 18 19 20 21 22; do
   run --only "E$e" --seeds 1 --bench-json "bench-e$e.json"
 done
 
@@ -41,7 +41,11 @@ gate --speedup bench-e14.json 4 1.2
 # BENCH_pr9.json rows); BENCH_pr31.json gates E21, Newton's descent
 # against Howard per component: its identical flags strict, its probe
 # counts exactly (deterministic, like bench/e9.expected) and its
-# within-run newton_ms / howard_ms at most 2x the recorded ratio.
+# within-run newton_ms / howard_ms at most 2x the recorded ratio;
+# BENCH_pr33.json gates E22, a verify=true hit's one-pass check of
+# stored potentials against the from-zero certificate: its identical
+# flags strict and its within-run potentials_ms / certify_ms at most
+# 2x the recorded ratio.
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -53,7 +57,8 @@ gate \
   BENCH_pr17.json bench-e20.json \
   BENCH_pr23.json bench-e20.json \
   BENCH_pr30.json bench-e18.json \
-  BENCH_pr31.json bench-e21.json
+  BENCH_pr31.json bench-e21.json \
+  BENCH_pr33.json bench-e22.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)
