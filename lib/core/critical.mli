@@ -34,10 +34,11 @@ val any_cycle : who:string -> Digraph.t -> int list
     @raise Invalid_argument ["<who>: input graph is acyclic"] if there
     is none. *)
 
-val scaled_costs : Digraph.t -> den:(int -> int) -> Ratio.t -> int array
-(** G_λ in exact integers: entry [a] is
-    [den lambda · w(a) − num lambda · den a].
-    A fresh array per call, ready for [Bellman_ford.run (Int _)]. *)
+val scale_into : Probe.t -> den:(int -> int) -> Digraph.t -> Ratio.t -> unit
+(** [scale_into ws ~den g lambda] writes G_λ in exact integers into a
+    borrowed workspace: entry [a] of [ws.costs] becomes
+    [den lambda · w(a) − num lambda · den a], ready for
+    [Bellman_ford.probe ws g]. *)
 
 val ratio_of_cycle : Digraph.t -> den:(int -> int) -> int list -> Ratio.t
 (** Exact ratio of a cycle (arc-id list).
@@ -51,7 +52,8 @@ val assert_ratio_well_posed : Digraph.t -> unit
 val cycle_in : Digraph.t -> (int -> bool) -> int list option
 (** [cycle_in g keep] finds some cycle (arc ids, path order) in the
     subgraph of arcs selected by [keep], or [None] if it is acyclic.
-    DFS, O(n + m). *)
+    Iterative DFS over the frames of this domain's {!Probe} workspace,
+    O(n + m); [keep] must not borrow the workspace itself. *)
 
 type position =
   | Below  (** λ < λ*: feasible potentials exist but no cycle attains λ *)
@@ -62,7 +64,9 @@ type position =
 
 val locate : ?stats:Stats.t -> den:(int -> int) -> Digraph.t -> Ratio.t -> position
 (** One Bellman–Ford over the re-costed graph plus a search for a cycle
-    among the tight arcs.  Increments [stats.oracle_calls]. *)
+    among the tight arcs, both in this domain's {!Probe} workspace:
+    after the first call on a graph no larger, a call allocates only
+    its answer.  Increments [stats.oracle_calls]. *)
 
 val improve_to_optimal :
   ?stats:Stats.t -> ?budget:Budget.t -> den:(int -> int) -> Digraph.t ->

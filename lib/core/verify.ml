@@ -38,17 +38,22 @@ let potentials_hold ~objective ~problem g lambda (d : potentials) =
     !ok
   end
 
-(* the probe's potentials as int32, or None if one does not fit *)
-let pack d =
+(* the probe's potentials, the first [n] entries of [dist], as int32,
+   or None if one does not fit *)
+let pack (dist : Probe.int_array1) n =
   let fits x =
     x >= Int32.to_int Int32.min_int && x <= Int32.to_int Int32.max_int
   in
-  if not (Array.for_all fits d) then None
+  let ok = ref true in
+  for v = 0 to n - 1 do
+    if not (fits dist.{v}) then ok := false
+  done;
+  if not !ok then None
   else begin
-    let pot =
-      Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length d)
-    in
-    Array.iteri (fun v x -> Bigarray.Array1.unsafe_set pot v (Int32.of_int x)) d;
+    let pot = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+    for v = 0 to n - 1 do
+      pot.{v} <- Int32.of_int dist.{v}
+    done;
     Some pot
   end
 
@@ -74,12 +79,21 @@ let prove ~keep ?(objective = Solver.Minimize) ?(problem = Solver.Cycle_mean)
         Ok Stored
       | _ -> (
         (* optimality: no improving cycle under the scaled integer costs *)
-        let costs = Critical.scaled_costs g ~den lambda in
-        if objective = Solver.Maximize then
-          Array.map_inplace (fun c -> -c) costs;
-        match Bellman_ford.run (Bellman_ford.Int costs) g with
-        | Bellman_ford.Feasible d -> Ok (Probed (if keep then pack d else None))
-        | Bellman_ford.Negative_cycle better ->
+        let n = Digraph.n g and m = Digraph.m g in
+        let probed =
+          Probe.borrow ~n ~m (fun ws ->
+              Critical.scale_into ws ~den g lambda;
+              if objective = Solver.Maximize then
+                for a = 0 to m - 1 do
+                  ws.costs.{a} <- - ws.costs.{a}
+                done;
+              match Bellman_ford.probe ws g with
+              | None -> Ok (if keep then pack ws.dist n else None)
+              | Some better -> Error better)
+        in
+        match probed with
+        | Ok pot -> Ok (Probed pot)
+        | Error better ->
           let bw = Digraph.cycle_weight g better in
           let bd = List.fold_left (fun s a -> s + den a) 0 better in
           Error

@@ -6,76 +6,84 @@ type t = {
 
 (* Iterative Tarjan over the graph's own CSR.  Each DFS frame is a
    node and an int cursor into [out_arcs]; frames, the Tarjan stack
-   and the per-node index/lowlink are flat int arrays, so the sweep
-   allocates nothing per node or arc.  Roots are tried in increasing
-   node order and successors in CSR order, which fixes the component
-   ids (see the .mli).  Accesses are unchecked: every index is a node
-   id, a stack or frame depth (each node is pushed once, so < n), or a
-   CSR position below [out_start.{u + 1}]. *)
+   and the per-node index/lowlink are this domain's Probe workspace,
+   so the sweep allocates only its result.  A visited node is on the
+   Tarjan stack iff it has no component yet.  Roots are tried in
+   increasing node order and successors in CSR order, which fixes the
+   component ids (see the .mli).  Accesses are unchecked: every index
+   is a node id, a stack or frame depth (each node is pushed once, so
+   < n), or a CSR position below [out_start.{u + 1}]. *)
 let compute g =
   let n = Digraph.n g in
   let out_start, out_arcs = Digraph.Unsafe.out_csr g in
   let dsts = Digraph.Unsafe.dsts g in
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Bytes.make n '\000' in
   let component = Array.make n (-1) in
-  let stack = Array.make n 0 and sp = ref 0 in
-  let frame_node = Array.make n 0 and frame_cursor = Array.make n 0 in
-  let fp = ref 0 in
-  let next_index = ref 0 and comp_count = ref 0 in
-  let visit v =
-    Array.unsafe_set index v !next_index;
-    Array.unsafe_set lowlink v !next_index;
-    incr next_index;
-    Array.unsafe_set stack !sp v;
-    incr sp;
-    Bytes.unsafe_set on_stack v '\001';
-    Array.unsafe_set frame_node !fp v;
-    Array.unsafe_set frame_cursor !fp (Bigarray.Array1.unsafe_get out_start v);
-    incr fp
-  in
-  for root = 0 to n - 1 do
-    if index.(root) < 0 then begin
-      visit root;
-      while !fp > 0 do
-        let f = !fp - 1 in
-        let u = Array.unsafe_get frame_node f in
-        let c = Array.unsafe_get frame_cursor f in
-        if c < Bigarray.Array1.unsafe_get out_start (u + 1) then begin
-          Array.unsafe_set frame_cursor f (c + 1);
-          let v =
-            Bigarray.Array1.unsafe_get dsts (Bigarray.Array1.unsafe_get out_arcs c)
-          in
-          let iv = Array.unsafe_get index v in
-          if iv < 0 then visit v
-          else if
-            Bytes.unsafe_get on_stack v = '\001' && iv < Array.unsafe_get lowlink u
-          then Array.unsafe_set lowlink u iv
+  let comp_count = ref 0 in
+  Probe.borrow ~n ~m:0 (fun ws ->
+      let index = ws.Probe.index and lowlink = ws.Probe.lowlink in
+      let stack = ws.Probe.stack and sp = ref 0 in
+      let frame_node = ws.Probe.frame_node
+      and frame_cursor = ws.Probe.frame_cursor in
+      let fp = ref 0 in
+      let next_index = ref 0 in
+      for v = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set index v (-1)
+      done;
+      let visit v =
+        Bigarray.Array1.unsafe_set index v !next_index;
+        Bigarray.Array1.unsafe_set lowlink v !next_index;
+        incr next_index;
+        Bigarray.Array1.unsafe_set stack !sp v;
+        incr sp;
+        Bigarray.Array1.unsafe_set frame_node !fp v;
+        Bigarray.Array1.unsafe_set frame_cursor !fp
+          (Bigarray.Array1.unsafe_get out_start v);
+        incr fp
+      in
+      for root = 0 to n - 1 do
+        if Bigarray.Array1.unsafe_get index root < 0 then begin
+          visit root;
+          while !fp > 0 do
+            let f = !fp - 1 in
+            let u = Bigarray.Array1.unsafe_get frame_node f in
+            let c = Bigarray.Array1.unsafe_get frame_cursor f in
+            if c < Bigarray.Array1.unsafe_get out_start (u + 1) then begin
+              Bigarray.Array1.unsafe_set frame_cursor f (c + 1);
+              let v =
+                Bigarray.Array1.unsafe_get dsts
+                  (Bigarray.Array1.unsafe_get out_arcs c)
+              in
+              let iv = Bigarray.Array1.unsafe_get index v in
+              if iv < 0 then visit v
+              else if
+                Array.unsafe_get component v < 0
+                && iv < Bigarray.Array1.unsafe_get lowlink u
+              then Bigarray.Array1.unsafe_set lowlink u iv
+            end
+            else begin
+              fp := f;
+              let lu = Bigarray.Array1.unsafe_get lowlink u in
+              if lu = Bigarray.Array1.unsafe_get index u then begin
+                (* u is the root of a component: pop it off the Tarjan
+                   stack *)
+                let continue = ref true in
+                while !continue do
+                  decr sp;
+                  let w = Bigarray.Array1.unsafe_get stack !sp in
+                  Array.unsafe_set component w !comp_count;
+                  if w = u then continue := false
+                done;
+                incr comp_count
+              end;
+              if f > 0 then begin
+                let p = Bigarray.Array1.unsafe_get frame_node (f - 1) in
+                if lu < Bigarray.Array1.unsafe_get lowlink p then
+                  Bigarray.Array1.unsafe_set lowlink p lu
+              end
+            end
+          done
         end
-        else begin
-          fp := f;
-          let lu = Array.unsafe_get lowlink u in
-          if lu = Array.unsafe_get index u then begin
-            (* u is the root of a component: pop it off the Tarjan stack *)
-            let continue = ref true in
-            while !continue do
-              decr sp;
-              let w = Array.unsafe_get stack !sp in
-              Bytes.unsafe_set on_stack w '\000';
-              Array.unsafe_set component w !comp_count;
-              if w = u then continue := false
-            done;
-            incr comp_count
-          end;
-          if f > 0 then begin
-            let p = Array.unsafe_get frame_node (f - 1) in
-            if lu < Array.unsafe_get lowlink p then Array.unsafe_set lowlink p lu
-          end
-        end
-      done
-    end
-  done;
+      done);
   let members = Array.make !comp_count [] in
   for v = n - 1 downto 0 do
     members.(component.(v)) <- v :: members.(component.(v))

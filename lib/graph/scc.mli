@@ -1,6 +1,6 @@
 (** Strongly connected components (iterative Tarjan over the graph's
-    own CSR: int-array stacks and one int cursor per DFS frame, no
-    per-node successor copy). *)
+    own CSR: stacks and one int cursor per DFS frame in this domain's
+    {!Probe} workspace, no per-node successor copy). *)
 
 type t = {
   count : int;             (** number of components *)

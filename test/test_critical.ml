@@ -1,13 +1,19 @@
 let den1 _ = 1
 
+(* G_λ's integer costs, as the exact probes see them *)
+let scaled_costs g ~den lambda =
+  Probe.borrow ~n:(Digraph.n g) ~m:(Digraph.m g) (fun ws ->
+      Critical.scale_into ws ~den g lambda;
+      Array.init (Digraph.m g) (fun a -> ws.Probe.costs.{a}))
+
 let test_scaled_cost () =
   let g = Digraph.of_arcs 2 [ (0, 1, 7, 3); (1, 0, 5, 2) ] in
   let lambda = Helpers.r 3 2 in
   (* cost = 2·w − 3·t *)
   Alcotest.(check int) "arc 0" ((2 * 7) - (3 * 3))
-    (Critical.scaled_costs g ~den:(Digraph.transit g) lambda).(0);
+    (scaled_costs g ~den:(Digraph.transit g) lambda).(0);
   Alcotest.(check int) "arc 1 (mean)" ((2 * 5) - 3)
-    (Critical.scaled_costs g ~den:den1 lambda).(1)
+    (scaled_costs g ~den:den1 lambda).(1)
 
 let test_ratio_of_cycle () =
   let g = Digraph.of_arcs 2 [ (0, 1, 7, 3); (1, 0, 5, 2) ] in
@@ -175,7 +181,7 @@ let test_problem_helpers () =
   Alcotest.(check (array (float 0.0))) "real costs" [| 7.0 -. 4.5; -4.0 -. 3.0; 5.0 -. 1.5 |]
     (Critical.real_costs Critical.Cycle_ratio g 1.5);
   Alcotest.(check (array int)) "scaled costs" [| 14 - 9; -8 - 6; 10 - 3 |]
-    (Critical.scaled_costs g ~den:(Digraph.transit g) (Helpers.r 3 2));
+    (scaled_costs g ~den:(Digraph.transit g) (Helpers.r 3 2));
   Alcotest.(check int) "any cycle" 3 (List.length (Critical.any_cycle ~who:"t" g));
   Alcotest.check_raises "acyclic"
     (Invalid_argument "t: input graph is acyclic") (fun () ->
@@ -217,4 +223,161 @@ let suite =
   @ [
       Alcotest.test_case "G_λ problem helpers" `Quick test_problem_helpers;
       Alcotest.test_case "probe allocation bound" `Quick test_probe_allocation;
+    ]
+
+(* Every probe user borrows one workspace per domain, grown to the
+   largest graph seen and never cleared.  On graphs whose sizes go up,
+   down and up again, each must answer exactly as the fresh-array
+   reference of test/reference: λ, witness, operation counts and
+   potentials, for mean/ratio × min/max.  Marks, stamps or distances
+   left over from a larger graph would show here. *)
+let same_counts (s : Stats.t) (s' : Stats.t) =
+  s.oracle_calls = s'.oracle_calls
+  && s.relaxations = s'.relaxations
+  && s.iterations = s'.iterations
+  && s.cycles_examined = s'.cycles_examined
+
+let workspace_agrees g =
+  List.for_all
+    (fun problem ->
+      let den = Critical.den problem g in
+      (* Newton's descent on g (min) and on -g (max), and locate at,
+         above and below each optimum *)
+      let descend h =
+        let s = Stats.create () and s' = Stats.create () in
+        let answer = Newton.descent ~stats:s ~who:"t" ~problem h in
+        let answer' = Reference.descent ~stats:s' ~problem h in
+        (answer, answer = answer' && same_counts s s')
+      in
+      let located h lambda =
+        List.for_all
+          (fun l ->
+            let s = Stats.create () and s' = Stats.create () in
+            Critical.locate ~stats:s ~den h l = Reference.locate ~stats:s' ~den h l
+            && same_counts s s')
+          [ lambda; Ratio.add lambda Ratio.one; Ratio.sub lambda Ratio.one ]
+      in
+      let (lmin, cmin), min_ok = descend g in
+      let neg = Digraph.negate_weights g in
+      let (lmax, cmax), max_ok = descend neg in
+      let lmax = Ratio.neg lmax in
+      (* Verify's full probe under each objective: at the optimum its
+         potentials, at the other objective's optimum (a genuine cycle,
+         but not optimal) the better cycle it finds *)
+      let certified objective lambda cycle =
+        match
+          ( Verify.certify_with ~objective ~problem g lambda cycle,
+            Reference.certify_probe ~objective ~problem g lambda )
+        with
+        | Ok (Verify.Probed (Some pot)), Bellman_ford.Feasible d ->
+          Bigarray.Array1.dim pot = Array.length d
+          && Array.for_all Fun.id
+               (Array.mapi (fun v x -> Int32.to_int pot.{v} = x) d)
+        | Error msg, Bellman_ford.Negative_cycle c ->
+          msg
+          = Printf.sprintf "found a better cycle of ratio %s"
+              (Ratio.to_string (Critical.ratio_of_cycle g ~den c))
+        | _ -> false
+      in
+      min_ok && max_ok && located g lmin && located neg (Ratio.neg lmax)
+      && certified Solver.Minimize lmin cmin
+      && certified Solver.Maximize lmax cmax
+      && certified Solver.Minimize lmax cmax
+      && certified Solver.Maximize lmin cmin)
+    [ Critical.Cycle_mean; Critical.Cycle_ratio ]
+
+let qcheck_workspace_across_sizes =
+  QCheck.Test.make
+    ~name:"critical: workspace probes = fresh-array reference across sizes"
+    ~count:20
+    QCheck.(
+      pair small_nat
+        (quad (int_range 2 24) (int_range 40 96) (int_range 2 24)
+           (int_range 100 160)))
+    (fun (seed, (n1, n2, n3, n4)) ->
+      List.for_all
+        (fun (i, n) ->
+          workspace_agrees
+            (Sprand.generate ~seed:((seed * 4) + i) ~weights:(-100, 100)
+               ~transits:(1, 10) ~n ~m:(3 * n) ()))
+        [ (0, n1); (1, n2); (2, n3); (3, n4) ])
+
+(* Words allocated by [f ()] on the minor and the major heap.  The
+   minor heap is emptied first, so a call that allocates less than it
+   holds runs no minor collection and promotes nothing: its major
+   words are the ones it allocated there directly.  The minor count is
+   [Gc.minor_words], which reads the allocation pointer, where
+   [Gc.counters]'s minor count does not. *)
+let allocated f =
+  Gc.minor ();
+  let _, _, ma0 = Gc.counters () in
+  let mi0 = Gc.minor_words () in
+  let r = f () in
+  let mi1 = Gc.minor_words () in
+  let _, _, ma1 = Gc.counters () in
+  (r, mi1 -. mi0, ma1 -. ma0)
+
+(* After one warm-up probe the workspace holds the graph, so a probe
+   allocates nothing on the major heap and, on the minor heap, a
+   constant plus the 3-word list cells of the cycle it returns. *)
+let test_locate_allocates_nothing () =
+  let g = Sprand.generate ~seed:1 ~n:1024 ~m:3072 () in
+  let lambda, _ = Howard.minimum_cycle_mean g in
+  let stats = Stats.create () in
+  List.iter
+    (fun l ->
+      ignore (Critical.locate ~stats ~den:den1 g l);
+      let pos, minor, major =
+        allocated (fun () -> Critical.locate ~stats ~den:den1 g l)
+      in
+      let cells =
+        match pos with
+        | Critical.Optimal c | Critical.Above c -> List.length c
+        | Critical.Below -> 0
+      in
+      Alcotest.(check (float 0.0)) "major words" 0.0 major;
+      let bound = float_of_int (128 + (3 * cells)) in
+      if minor > bound then
+        Alcotest.failf "Critical.locate: %.0f minor words > %.0f" minor bound)
+    [ lambda; Ratio.add lambda Ratio.one; Ratio.sub lambda Ratio.one ]
+
+let test_descent_allocates_no_major () =
+  let first = Sprand.generate ~seed:1 ~n:1024 ~m:3072 () in
+  let second = Sprand.generate ~seed:2 ~transits:(1, 10) ~n:512 ~m:1536 () in
+  List.iter
+    (fun problem ->
+      ignore (Newton.descent ~who:"t" ~problem first);
+      let _, _, major =
+        allocated (fun () -> Newton.descent ~who:"t" ~problem second)
+      in
+      Alcotest.(check (float 0.0)) "major words" 0.0 major)
+    [ Critical.Cycle_mean; Critical.Cycle_ratio ]
+
+(* a user that borrows the workspace while it is lent out gets an
+   error, not the other user's buffers; the outer borrow still returns
+   the workspace *)
+let test_nested_borrow_raises () =
+  let nested = Invalid_argument "Probe.borrow: this domain's workspace is already borrowed" in
+  Alcotest.check_raises "direct" nested (fun () ->
+      Probe.borrow ~n:1 ~m:1 (fun _ -> Probe.borrow ~n:1 ~m:1 ignore));
+  let g = fixture () in
+  Alcotest.check_raises "a probe inside a cycle search" nested (fun () ->
+      ignore
+        (Critical.cycle_in g (fun _ ->
+             ignore (Critical.locate ~den:den1 g (Helpers.r 1 1));
+             true)));
+  match Critical.locate ~den:den1 g (Helpers.r 1 1) with
+  | Critical.Optimal _ -> ()
+  | _ -> Alcotest.fail "the workspace was not returned"
+
+let suite =
+  suite
+  @ Helpers.qtests [ qcheck_workspace_across_sizes ]
+  @ [
+      Alcotest.test_case "locate allocates no major words" `Quick
+        test_locate_allocates_nothing;
+      Alcotest.test_case "descent allocates no major words" `Quick
+        test_descent_allocates_no_major;
+      Alcotest.test_case "nested workspace borrow raises" `Quick
+        test_nested_borrow_raises;
     ]
