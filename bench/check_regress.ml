@@ -16,9 +16,10 @@
    counts are not gated by pairs, with these exceptions: the
    deterministic counts E21's "newton_probes" and E13's "resolved"
    (components a session query re-solved) must equal their baseline,
-   and the within-run time ratios E21's "newton_over_howard" and E22's
-   "potentials_over_certify" (both sides timed in the same run, so the
-   host cancels) may grow at most 2x.  What *is* gated hard, with no
+   and the within-run time ratios E21's "newton_over_howard", E22's
+   "potentials_over_certify" and E23's "workspace_over_fresh" (both
+   sides timed in the same run, so the host cancels) may grow at most
+   2x.  What *is* gated hard, with no
    tolerance, is every "identical", "exact_matches_float" and
    "access_complete" flag in the current file: the first encodes the
    determinism guarantee (parallel report bit-equal to jobs=1), the
@@ -137,10 +138,12 @@ let gated_metric path =
    their own: a deterministic count (Newton's probes in E21, the
    components an E13 edit round re-solved) must not change at all,
    and a within-run time ratio (E21's newton_ms / howard_ms, E22's
-   potentials_ms / certify_ms, both sides timed on the same host, so
-   the host cancels) may grow at most [ratio_factor]-fold. *)
+   potentials_ms / certify_ms, E23's workspace_ms / fresh_ms, both
+   sides timed on the same host, so the host cancels) may grow at most
+   [ratio_factor]-fold. *)
 let exact_counts = [ "newton_probes"; "resolved" ]
-let gated_ratios = [ "newton_over_howard"; "potentials_over_certify" ]
+let gated_ratios =
+  [ "newton_over_howard"; "potentials_over_certify"; "workspace_over_fresh" ]
 let ratio_factor = 2.0
 
 let failures = ref 0

@@ -2043,8 +2043,112 @@ let e22 cfg =
     close_out oc;
     Printf.printf "wrote %s\n" path
 
+(* ------------------------------------------------------------------ *)
+(* E23: one exact probe in the domain's workspace against the same     *)
+(* probe over fresh arrays.  On SPRAND n = 4096, m = 12288 (transits   *)
+(* 1..10), for mean and ratio, a warm Critical.locate is timed against *)
+(* Reference.locate (the fresh-array version it replaced) at λ* and at *)
+(* λ* + 1, alternately, best of 5 samples of at least 2 ms each.  A    *)
+(* row sums the seeds.  workspace_over_fresh is the within-run ratio   *)
+(* of the sums; identical says both answer the same position, cycle    *)
+(* and operation counts.                                               *)
+(* ------------------------------------------------------------------ *)
+
+let e23 cfg =
+  let problems = [ ("mean", Critical.Cycle_mean); ("ratio", Critical.Cycle_ratio) ] in
+  let positions = [ ("locate_at_optimum", 0); ("locate_above_optimum", 1) ] in
+  let graphs =
+    List.map
+      (fun seed ->
+        Sprand.generate ~seed ~transits:(1, 10) ~n:4096 ~m:12288 ())
+      cfg.seeds
+  in
+  let row (pname, problem) (workload, offset) =
+    let ws_ms = ref 0.0 and fresh_ms = ref 0.0 and identical = ref true in
+    List.iter
+      (fun g ->
+        let den = Critical.den problem g in
+        let lambda, _ = Newton.descent ~who:"E23" ~problem g in
+        let lambda = Ratio.add lambda (Ratio.of_int offset) in
+        let counted locate =
+          let stats = Stats.create () in
+          let pos = locate ~stats in
+          (pos, stats.Stats.oracle_calls, stats.Stats.relaxations)
+        in
+        let ours = counted (fun ~stats -> Critical.locate ~stats ~den g lambda)
+        and theirs =
+          counted (fun ~stats -> Reference.locate ~stats ~den g lambda)
+        in
+        if ours <> theirs then identical := false;
+        let sample f =
+          let _, once = Timing.time_once f in
+          let k = max 1 (int_of_float (2.0 /. Float.max once 1e-4)) in
+          snd
+            (Timing.time_once (fun () ->
+                 for _ = 1 to k do
+                   f ()
+                 done))
+          /. float_of_int k
+        in
+        let best_w = ref infinity and best_f = ref infinity in
+        for _ = 1 to 5 do
+          best_w :=
+            Float.min !best_w
+              (sample (fun () -> ignore (Critical.locate ~den g lambda)));
+          best_f :=
+            Float.min !best_f
+              (sample (fun () -> ignore (Reference.locate ~den g lambda)))
+        done;
+        ws_ms := !ws_ms +. !best_w;
+        fresh_ms := !fresh_ms +. !best_f)
+      graphs;
+    (pname, workload, !ws_ms, !fresh_ms, !identical)
+  in
+  let g0 = List.hd graphs in
+  let n = Digraph.n g0 and m = Digraph.m g0 in
+  let rows = List.concat_map (fun p -> List.map (row p) positions) problems in
+  Tables.print
+    ~title:
+      "E23: one exact probe (Critical.locate) in the domain's workspace vs \
+       over fresh arrays (SPRAND n=4096 m=12288; ms = sum over seeds of \
+       each one's best of 5)"
+    ~header:
+      [ "problem"; "lambda"; "n"; "m"; "workspace ms"; "fresh ms";
+        "workspace/fresh"; "identical" ]
+    (List.map
+       (fun (p, w, wms, fms, identical) ->
+         [
+           p; w; string_of_int n; string_of_int m; Tables.fmt_ms wms;
+           Tables.fmt_ms fms; Printf.sprintf "%.3f" (wms /. fms);
+           (if identical then "yes" else "NO");
+         ])
+       rows);
+  match !bench_json_path with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    let out fmt = Printf.fprintf oc fmt in
+    let cores = host_cores () in
+    out "{\n  \"experiment\": \"E23\",\n";
+    out "  \"host_cores\": %d,\n" cores;
+    out "  \"probe_workspace\": [\n";
+    List.iteri
+      (fun i (p, w, wms, fms, identical) ->
+        out
+          "    {\"family\": \"sprand\", \"problem\": %S, \"workload\": %S, \
+           \"n\": %d, \"m\": %d, \"jobs\": 1, \"host_cores\": %d, \
+           \"workspace_ms\": %.4f, \"fresh_ms\": %.4f, \
+           \"workspace_over_fresh\": %.4f, \"identical\": %b}%s\n"
+          p w n m cores wms fms (wms /. fms) identical
+          (if i < List.length rows - 1 then "," else ""))
+      rows;
+    out "  ]\n}\n";
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+
 let all : (string * (config -> unit)) list =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
-    ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E22", e22) ]
+    ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E22", e22);
+    ("E23", e23) ]

@@ -17,14 +17,14 @@ let () =
       ("--micro", Arg.Set micro, " also run the Bechamel microbenchmarks");
       ( "--only",
         Arg.String (fun s -> only := String.uppercase_ascii s :: !only),
-        "EK run only the given experiment (repeatable): E1..E22" );
+        "EK run only the given experiment (repeatable): E1..E23" );
       ("--seeds", Arg.Set_int seeds, "K number of random seeds per cell");
       ( "--csv",
         Arg.String (fun dir -> Tables.csv_dir := Some dir),
         "DIR also write every table as DIR/<id>.csv" );
       ( "--bench-json",
         Arg.String (fun f -> Experiments.bench_json_path := Some f),
-        "FILE write E12..E22 numbers as machine-readable JSON" );
+        "FILE write E12..E23 numbers as machine-readable JSON" );
     ]
   in
   Arg.parse (Arg.align args)
@@ -51,7 +51,7 @@ let () =
     | ids -> List.filter (fun (id, _) -> List.mem id ids) Experiments.all
   in
   if selected = [] then begin
-    prerr_endline "no experiment matches --only (expected E1..E22)";
+    prerr_endline "no experiment matches --only (expected E1..E23)";
     exit 1
   end;
   List.iter

@@ -15,7 +15,7 @@ set -eu
 run() { dune exec bench/main.exe -- "$@"; }
 gate() { dune exec bench/check_regress.exe -- "$@"; }
 
-for e in 1 11 12 13 14 15 16 18 19 20 21 22; do
+for e in 1 11 12 13 14 15 16 18 19 20 21 22 23; do
   run --only "E$e" --seeds 1 --bench-json "bench-e$e.json"
 done
 
@@ -45,7 +45,10 @@ gate --speedup bench-e14.json 4 1.2
 # BENCH_pr33.json gates E22, a verify=true hit's one-pass check of
 # stored potentials against the from-zero certificate: its identical
 # flags strict and its within-run potentials_ms / certify_ms at most
-# 2x the recorded ratio.
+# 2x the recorded ratio; BENCH_pr34.json gates E23, one exact probe in
+# the domain's workspace against the same probe over fresh arrays: its
+# identical flags strict and its within-run workspace_ms / fresh_ms at
+# most 2x the recorded ratio.
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -58,7 +61,8 @@ gate \
   BENCH_pr23.json bench-e20.json \
   BENCH_pr30.json bench-e18.json \
   BENCH_pr31.json bench-e21.json \
-  BENCH_pr33.json bench-e22.json
+  BENCH_pr33.json bench-e22.json \
+  BENCH_pr34.json bench-e23.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)
