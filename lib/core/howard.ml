@@ -14,7 +14,8 @@ let sp_iter = Obs.intern "howard.iteration"
 let sp_improved = Obs.intern "howard.improved"
 
 type int_array1 = Digraph.int_array1
-type float_array1 = Digraph.float_array1
+type float_array1 =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let ia len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 let fa len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
@@ -45,12 +46,12 @@ type scratch = {
   mutable pos : int array;         (* n *)
   mutable walk : int array;        (* n+1 *)
   mutable cycle_arcs : int array;  (* n: best policy cycle, path order *)
-  (* all-ones float denominator, the cycle-mean counterpart of the
-     graph's transit mirror: the sweep reads one uniform [denf] array
-     for both problems, and multiplying by an exact 1.0 is bit-identical
-     to the mean form's plain [-. lambda] *)
+  (* all-ones denominator, the cycle-mean counterpart of the graph's
+     transit array: the sweep reads one uniform [dens] array for both
+     problems, and multiplying by an exact 1.0 is bit-identical to the
+     mean form's plain [-. lambda] *)
   mutable ones_cap : int;
-  mutable ones : float_array1;     (* ones_cap >= m, every entry 1.0 *)
+  mutable ones : int_array1;       (* ones_cap >= m, every entry 1 *)
   (* Chunked improvement sweep (serial and parallel paths share it):
      chunk [ci] records, for every node it saw as an arc source, the
      best candidate value and the lowest arc id attaining it.  Stamps
@@ -91,7 +92,7 @@ let create_scratch () =
     walk = [||];
     cycle_arcs = [||];
     ones_cap = 0;
-    ones = fa 0;
+    ones = ia 0;
     sweep_epoch = 0;
     sweep_lambda = Array.make 1 0.0;
     sweep_eps = Array.make 1 0.0;
@@ -123,8 +124,8 @@ let ensure_scratch s n =
    is the only write it ever sees *)
 let ensure_ones s m =
   if m > s.ones_cap then begin
-    s.ones <- fa m;
-    Bigarray.Array1.fill s.ones 1.0;
+    s.ones <- ia m;
+    Bigarray.Array1.fill s.ones 1;
     s.ones_cap <- m
   end;
   s.ones
@@ -159,13 +160,14 @@ let ensure_chunks s chunks =
    plain memory no domain's GC ever moves) — and the chunk's winner
    table keeps, per source node, the smallest candidate with the lowest
    arc id on ties (arcs are visited in increasing id order, so a strict
-   comparison keeps the first minimum).  [srcs]/[dsts]/[wf] are the
-   graph's own CSR Bigarrays and [denf] the float64 denominator mirror
-   (all ones for the mean problem, the transit mirror for the ratio
-   problem — both exact, so the float arithmetic is bit-identical to
-   the [float_of_int] version it replaces).  Allocation-free: all
-   state lives in the preallocated chunk tables. *)
-let sweep_chunk s ~srcs ~dsts ~wf ~denf lo hi ci =
+   comparison keeps the first minimum).  [srcs]/[dsts]/[ws] are the
+   graph's own label Bigarrays and [dens] the denominator (all ones for
+   the mean problem, the transits for the ratio problem); each label is
+   converted with [float_of_int] as it is read, which is exact for
+   every admissible label (see Solver.preflight), so the graph keeps no
+   float copy.  Allocation-free: all state lives in the preallocated
+   chunk tables. *)
+let sweep_chunk s ~srcs ~dsts ~ws ~dens lo hi ci =
   let d = s.d in
   let lambda = s.sweep_lambda.(0) in
   let epoch = s.sweep_epoch in
@@ -176,7 +178,9 @@ let sweep_chunk s ~srcs ~dsts ~wf ~denf lo hi ci =
   for a = lo to hi - 1 do
     let u = (srcs : int_array1).{a} and v = (dsts : int_array1).{a} in
     let cand =
-      d.{v} +. (wf : float_array1).{a} -. (lambda *. (denf : float_array1).{a})
+      d.{v}
+      +. float_of_int (ws : int_array1).{a}
+      -. (lambda *. float_of_int (dens : int_array1).{a})
     in
     if cand < d.{u} then incr relax;
     if stamp_t.{u} <> epoch || cand < cand_t.{u} then begin
@@ -242,14 +246,14 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
   let n = Digraph.n g and m = Digraph.m g in
   let s = match scratch with Some s -> s | None -> create_scratch () in
   ensure_scratch s n;
-  (* the graph's unboxed arrays: endpoints, the float64 weight mirror,
-     and the denominator mirror (exact by construction; see Digraph) *)
+  (* the graph's unboxed arrays: endpoints, weights and the
+     denominator (transits, or the scratch's ones) *)
   let srcs = Digraph.Unsafe.srcs g
   and dsts = Digraph.Unsafe.dsts g
-  and wf = Digraph.Unsafe.weights_float g in
-  let denf =
+  and ws = Digraph.Unsafe.weights g in
+  let dens =
     match problem with
-    | Critical.Cycle_ratio -> Digraph.Unsafe.transits_float g
+    | Critical.Cycle_ratio -> Digraph.Unsafe.transits g
     | Critical.Cycle_mean -> ensure_ones s m
   in
   let den = Critical.den problem g in
@@ -276,7 +280,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
       Array.init (chunks - 1) (fun i ->
           let ci = i + 1 in
           let lo = chunk_lo ci and hi = chunk_lo (ci + 1) in
-          fun () -> sweep_chunk s ~srcs ~dsts ~wf ~denf lo hi ci)
+          fun () -> sweep_chunk s ~srcs ~dsts ~ws ~dens lo hi ci)
   in
   (* unconditional counter updates beat an option match in the hot
      loop; the dummy costs one allocation per un-instrumented solve *)
@@ -293,7 +297,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
   | `Cheapest_arc ->
     for a = 0 to m - 1 do
       let u = srcs.{a} in
-      let w = wf.{a} in
+      let w = float_of_int ws.{a} in
       if w < d.{u} then begin
         d.{u} <- w;
         pi.(u) <- a
@@ -304,7 +308,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
       let u = srcs.{a} in
       if pi.(u) < 0 then begin
         pi.(u) <- a;
-        d.{u} <- wf.{a}
+        d.{u} <- float_of_int ws.{a}
       end
     done
   | `Random seed ->
@@ -337,7 +341,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
         Digraph.iter_out g u (fun a ->
             if !i = pick then begin
               pi.(u) <- a;
-              d.{u} <- wf.{a}
+              d.{u} <- float_of_int ws.{a}
             end;
             incr i)
       end
@@ -462,7 +466,8 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
         if not s.visited.(u) then begin
           s.visited.(u) <- true;
           let a = pi.(u) in
-          d.{u} <- d.{x} +. wf.{a} -. (lambda *. denf.{a});
+          d.{u} <-
+            d.{x} +. float_of_int ws.{a} -. (lambda *. float_of_int dens.{a});
           queue.{!tail} <- u;
           incr tail
         end
@@ -477,9 +482,9 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?scratch ?pool
     (match pool with
     | Some p when chunks > 1 ->
       let futs = Array.map (Executor.async p) tasks in
-      sweep_chunk s ~srcs ~dsts ~wf ~denf 0 (chunk_lo 1) 0;
+      sweep_chunk s ~srcs ~dsts ~ws ~dens 0 (chunk_lo 1) 0;
       Array.iter (fun fut -> Executor.await p fut) futs
-    | _ -> sweep_chunk s ~srcs ~dsts ~wf ~denf 0 m 0);
+    | _ -> sweep_chunk s ~srcs ~dsts ~ws ~dens 0 m 0);
     if not (apply_winners s ~n ~chunks st) then converged := true;
     if tr then Trace.end_span sp_iter
   done;

@@ -225,6 +225,7 @@ let bump_iter stats =
 (* ------------------------------------------------------------------ *)
 
 let run_ko (module H : KEY_HEAP) ?stats ~den g =
+  let rg = Digraph.reverse g (* x's in-arcs are rg's out-arcs *) in
   let n = Digraph.n g and m = Digraph.m g in
   let dt, dw, parent = initial_tree ~den g in
   let heap_stats = Option.map (fun s -> s.Stats.heap) stats in
@@ -263,7 +264,7 @@ let run_ko (module H : KEY_HEAP) ?stats ~den g =
           Digraph.iter_out g x (fun b ->
               if not in_s.(Digraph.dst g b) then
                 H.replace heap b (key ~den g dt dw b));
-          Digraph.iter_in g x (fun b ->
+          Digraph.iter_out rg x (fun b ->
               if not in_s.(Digraph.src g b) then
                 H.replace heap b (key ~den g dt dw b)))
         s;
@@ -277,13 +278,14 @@ let run_ko (module H : KEY_HEAP) ?stats ~den g =
 (* ------------------------------------------------------------------ *)
 
 let run_yto (module H : KEY_HEAP) ?stats ~den g =
+  let rg = Digraph.reverse g (* v's in-arcs are rg's out-arcs *) in
   let n = Digraph.n g in
   let dt, dw, parent = initial_tree ~den g in
   let heap_stats = Option.map (fun s -> s.Stats.heap) stats in
   let heap = H.create ?stats:heap_stats ~capacity:n () in
   let best_arc = Array.make n (-1) in
   let node_key v =
-    Digraph.fold_in g v
+    Digraph.fold_out rg v
       (fun acc a ->
         match key ~den g dt dw a with
         | None -> acc

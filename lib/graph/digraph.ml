@@ -1,5 +1,5 @@
 (* The CSR arrays live in unboxed Bigarrays rather than OCaml heap
-   arrays.  Three properties motivate the layout (see docs/PERF.md):
+   arrays.  Two properties motivate the layout (see docs/PERF.md):
 
    - GC invisibility: the data sits outside the OCaml heap, so a
      million-arc graph contributes a handful of custom blocks to a
@@ -9,22 +9,17 @@
      be read concurrently from every domain without copies or
      read barriers — the parallel improvement sweep hands raw views
      of these arrays to executor workers.
-   - Unboxed float labels: [arc_weight_f]/[arc_transit_f] mirror the
-     integer labels as float64, so kernel inner loops read fully
-     unboxed floats instead of converting (and possibly boxing) an
-     int on every arc visit.  The mirrors are exact: every label this
-     library accepts is far below 2^53 (see Solver.preflight).
 
-   The integer arrays remain the source of truth; the float mirrors
-   are maintained by every operation that rewrites labels. *)
+   A graph holds what every solver reads and nothing more: the four
+   label arrays and the out-CSR, 5m + n + 1 words.  A kernel that
+   walks arcs backwards (KO/YTO, co-reachability) builds [reverse g]
+   once per run, and Howard converts labels to float as it reads
+   them, so loading a graph builds no structure a served request
+   never touches. *)
 
 type int_array1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-type float_array1 =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 let ia len : int_array1 = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
-let fa len : float_array1 =
-  Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
 
 type t = {
   n : int;
@@ -33,12 +28,8 @@ type t = {
   arc_dst : int_array1;
   arc_weight : int_array1;
   arc_transit : int_array1;
-  arc_weight_f : float_array1;  (* float64 mirror of arc_weight *)
-  arc_transit_f : float_array1; (* float64 mirror of arc_transit *)
   out_start : int_array1; (* length n+1 *)
-  out_arcs : int_array1;  (* arc ids grouped by source *)
-  in_start : int_array1;
-  in_arcs : int_array1;
+  out_arcs : int_array1;  (* arc ids grouped by source, in id order *)
 }
 
 type builder = {
@@ -81,43 +72,38 @@ let ia_init len f =
   done;
   a
 
-(* the float64 mirror of an int label array *)
-let mirror (labels : int_array1) : float_array1 =
-  let len = Bigarray.Array1.dim labels in
-  let a = fa len in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set a i
-      (float_of_int (Bigarray.Array1.unsafe_get labels i))
-  done;
-  a
-
-(* Builds both CSR adjacency structures with counting sort. *)
+(* The CSR over [key] (one endpoint per arc: the tails for the graph,
+   the heads for its reverse) by a stable counting sort: the arcs of
+   each node appear in increasing id order.  [start] doubles
+   as the fill cursor — after the fill, [start.{k}] has advanced to the
+   end of node k's run, which is where node k+1's starts, so one shift
+   restores it and no cursor array is allocated. *)
 let csr n m (key : int_array1) =
   let start = ia (n + 1) in
   Bigarray.Array1.fill start 0;
   for a = 0 to m - 1 do
-    let k = key.{a} in
-    start.{k + 1} <- start.{k + 1} + 1
+    let k = key.{a} + 1 in
+    start.{k} <- start.{k} + 1
   done;
   for v = 1 to n do
     start.{v} <- start.{v} + start.{v - 1}
   done;
-  let cursor = ia (n + 1) in
-  Bigarray.Array1.blit start cursor;
   let arcs = ia m in
   for a = 0 to m - 1 do
     let k = key.{a} in
-    arcs.{cursor.{k}} <- a;
-    cursor.{k} <- cursor.{k} + 1
+    let i = start.{k} in
+    arcs.{i} <- a;
+    start.{k} <- i + 1
   done;
+  for v = n downto 1 do
+    start.{v} <- start.{v - 1}
+  done;
+  start.{0} <- 0;
   (start, arcs)
 
 let of_label_arrays ~n ~m ~arc_src ~arc_dst ~arc_weight ~arc_transit =
   let out_start, out_arcs = csr n m arc_src in
-  let in_start, in_arcs = csr n m arc_dst in
-  { n; m; arc_src; arc_dst; arc_weight; arc_transit;
-    arc_weight_f = mirror arc_weight; arc_transit_f = mirror arc_transit;
-    out_start; out_arcs; in_start; in_arcs }
+  { n; m; arc_src; arc_dst; arc_weight; arc_transit; out_start; out_arcs }
 
 let build b =
   if b.closed then invalid_arg "Digraph.build: builder already built";
@@ -147,7 +133,6 @@ let weight g a = g.arc_weight.{a}
 let transit g a = g.arc_transit.{a}
 
 let out_degree g u = g.out_start.{u + 1} - g.out_start.{u}
-let in_degree g v = g.in_start.{v + 1} - g.in_start.{v}
 
 let extremum_weight name better g =
   if g.m = 0 then invalid_arg ("Digraph." ^ name ^ ": graph has no arcs");
@@ -172,19 +157,9 @@ let iter_out g u f =
     f g.out_arcs.{i}
   done
 
-let iter_in g v f =
-  for i = g.in_start.{v} to g.in_start.{v + 1} - 1 do
-    f g.in_arcs.{i}
-  done
-
 let fold_out g u f init =
   let acc = ref init in
   iter_out g u (fun a -> acc := f !acc a);
-  !acc
-
-let fold_in g v f init =
-  let acc = ref init in
-  iter_in g v (fun a -> acc := f !acc a);
   !acc
 
 let iter_arcs g f =
@@ -198,19 +173,10 @@ let fold_arcs g f init =
   !acc
 
 let reverse g =
-  {
-    g with
-    arc_src = g.arc_dst;
-    arc_dst = g.arc_src;
-    out_start = g.in_start;
-    out_arcs = g.in_arcs;
-    in_start = g.out_start;
-    in_arcs = g.out_arcs;
-  }
+  let out_start, out_arcs = csr g.n g.m g.arc_dst in
+  { g with arc_src = g.arc_dst; arc_dst = g.arc_src; out_start; out_arcs }
 
-let map_weights g f =
-  let arc_weight = ia_init g.m f in
-  { g with arc_weight; arc_weight_f = mirror arc_weight }
+let map_weights g f = { g with arc_weight = ia_init g.m f }
 
 let negate_weights g = map_weights g (fun a -> -g.arc_weight.{a})
 
@@ -221,29 +187,25 @@ let map_transits g f =
         if tt < 0 then invalid_arg "Digraph.map_transits: negative transit time";
         tt)
   in
-  { g with arc_transit; arc_transit_f = mirror arc_transit }
+  { g with arc_transit }
 
 module Unsafe = struct
   let set_weight g a w =
     if a < 0 || a >= g.m then
       invalid_arg "Digraph.Unsafe.set_weight: arc out of range";
-    g.arc_weight.{a} <- w;
-    g.arc_weight_f.{a} <- float_of_int w
+    g.arc_weight.{a} <- w
 
   let set_transit g a tt =
     if a < 0 || a >= g.m then
       invalid_arg "Digraph.Unsafe.set_transit: arc out of range";
     if tt < 0 then invalid_arg "Digraph.Unsafe.set_transit: negative transit time";
-    g.arc_transit.{a} <- tt;
-    g.arc_transit_f.{a} <- float_of_int tt
+    g.arc_transit.{a} <- tt
 
   let out_csr g = (g.out_start, g.out_arcs)
   let srcs g = g.arc_src
   let dsts g = g.arc_dst
   let weights g = g.arc_weight
   let transits g = g.arc_transit
-  let weights_float g = g.arc_weight_f
-  let transits_float g = g.arc_transit_f
   let of_label_arrays = of_label_arrays
 end
 

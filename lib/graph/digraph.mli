@@ -6,20 +6,17 @@
     Gupta (DAC 1999).  Parallel arcs and self-loops are allowed.
 
     The CSR arrays are stored in unboxed {!Bigarray.Array1} buffers:
-    the graph's bulk data lives outside the OCaml heap (GC-invisible),
-    can be read concurrently from every domain without copying, and
-    the integer labels are mirrored as float64 so numeric kernels read
-    fully unboxed floats (see docs/PERF.md). *)
+    the graph's bulk data lives outside the OCaml heap (GC-invisible)
+    and can be read concurrently from every domain without copying.
+    A graph holds its four label arrays and the out-adjacency only
+    (5m + n + 1 words); a kernel that needs in-arcs iterates
+    {!reverse} (see docs/PERF.md). *)
 
 type t
 
 type int_array1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Unboxed native-int vector; the storage type of every CSR index
     and label array. *)
-
-type float_array1 =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Unboxed float64 vector; the storage type of the label mirrors. *)
 
 (** {1 Construction} *)
 
@@ -58,7 +55,6 @@ val weight : t -> int -> int
 val transit : t -> int -> int
 
 val out_degree : t -> int -> int
-val in_degree : t -> int -> int
 
 val min_weight : t -> int
 (** Minimum arc weight.  @raise Invalid_argument on arcless graphs. *)
@@ -77,18 +73,18 @@ val total_transit : t -> int
 val iter_out : t -> int -> (int -> unit) -> unit
 (** [iter_out g u f] applies [f] to every arc leaving [u]. *)
 
-val iter_in : t -> int -> (int -> unit) -> unit
-(** [iter_in g v f] applies [f] to every arc entering [v]. *)
-
 val fold_out : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-val fold_in : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 val iter_arcs : t -> (int -> unit) -> unit
 val fold_arcs : t -> ('a -> int -> 'a) -> 'a -> 'a
 
 (** {1 Transformations} *)
 
 val reverse : t -> t
-(** Graph with every arc flipped; arc ids are preserved. *)
+(** Graph with every arc flipped; arc ids are preserved and the labels
+    shared.  Builds the flipped graph's out-adjacency, O(n + m):
+    [iter_out (reverse g) v] visits the arcs entering [v] in [g], in
+    increasing id order.  Kernels that walk arcs backwards build it
+    once per run. *)
 
 val map_weights : t -> (int -> int) -> t
 (** [map_weights g f] replaces the weight of arc [a] by [f a]; structure
@@ -140,20 +136,10 @@ module Unsafe : sig
 
   val weights : t -> int_array1
   (** The internal weight array ([weights.{a} = weight g a]); read-only
-      (write through {!set_weight}, which keeps the float mirror in
-      sync). *)
+      (write through {!set_weight}). *)
 
   val transits : t -> int_array1
   (** The internal transit-time array; read-only, like {!weights}. *)
-
-  val weights_float : t -> float_array1
-  (** The float64 mirror of the weights ([weights_float g).{a} =
-      float_of_int (weight g a)], exact for every admissible label).
-      Read-only; kept in sync by {!set_weight} and the [map_*]
-      builders. *)
-
-  val transits_float : t -> float_array1
-  (** The float64 mirror of the transit times; read-only. *)
 
   val of_label_arrays :
     n:int -> m:int -> arc_src:int_array1 -> arc_dst:int_array1 ->

@@ -15,7 +15,7 @@ let bfs_levels g s =
   done;
   level
 
-let reach iter g s =
+let reachable g s =
   let n = Digraph.n g in
   let seen = Array.make n false in
   let stack = Stack.create () in
@@ -23,8 +23,8 @@ let reach iter g s =
   Stack.push s stack;
   while not (Stack.is_empty stack) do
     let u = Stack.pop stack in
-    iter g u (fun a ->
-        let v = if iter == Digraph.iter_out then Digraph.dst g a else Digraph.src g a in
+    Digraph.iter_out g u (fun a ->
+        let v = Digraph.dst g a in
         if not seen.(v) then begin
           seen.(v) <- true;
           Stack.push v stack
@@ -32,8 +32,7 @@ let reach iter g s =
   done;
   seen
 
-let reachable g s = reach Digraph.iter_out g s
-let co_reachable g s = reach Digraph.iter_in g s
+let co_reachable g s = reachable (Digraph.reverse g) s
 
 let is_strongly_connected g =
   let n = Digraph.n g in
@@ -44,7 +43,10 @@ let is_strongly_connected g =
 
 let topological_order g =
   let n = Digraph.n g in
-  let indeg = Array.init n (Digraph.in_degree g) in
+  let indeg = Array.make n 0 in
+  Digraph.iter_arcs g (fun a ->
+      let v = Digraph.dst g a in
+      indeg.(v) <- indeg.(v) + 1);
   let queue = Queue.create () in
   Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
   let order = Array.make n (-1) in
