@@ -23,7 +23,7 @@ let dimacs = { tag = "sp"; comment = 'c'; transit = false }
 let fail lineno msg = failwith (Printf.sprintf "Graph_io: line %d: %s" lineno msg)
 
 (* the shortest possible arc line, "a 1 2 3": a problem line declaring
-   more arcs than [String.length s / min_arc_line] cannot be honest *)
+   more arcs than [len / min_arc_line] cannot be honest *)
 let min_arc_line = 7
 
 let max_nodes = 1 lsl 20
@@ -31,28 +31,17 @@ let max_nodes = 1 lsl 20
 (* a fast-path field holds at most 18 digits, so it always fits *)
 let max_fast_digits = 18
 
-let scan fmt s =
-  let len = String.length s in
+(* [scan fmt buf len] parses the input [buf.[0 .. len-1]].  The byte
+   [buf.[len]] is a '\n' sentinel: every line, the last one included,
+   ends at a newline, and neither a space nor a digit run can pass
+   one, so no loop below tests its index against [len]. *)
+let scan fmt buf len =
   (* n < 0 until the problem line is read; the label arrays are sized
      from its arc count and filled in file order *)
   let n = ref (-1) and m = ref 0 and k = ref 0 in
   let empty = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
   let arc_src = ref empty and arc_dst = ref empty in
   let arc_weight = ref empty and arc_transit = ref empty in
-  (* the checks and messages Digraph.add_arc applied when the parsers
-     went through a builder, then the declared-count rule *)
-  let add lineno u v w t =
-    if u < 1 || u > !n || v < 1 || v > !n then
-      fail lineno "Digraph.add_arc: endpoint out of range";
-    if t < 0 then fail lineno "Digraph.add_arc: negative transit time";
-    let i = !k in
-    if i = !m then fail lineno (Printf.sprintf "more arcs than the %d declared" !m);
-    Bigarray.Array1.unsafe_set !arc_src i (u - 1);
-    Bigarray.Array1.unsafe_set !arc_dst i (v - 1);
-    Bigarray.Array1.unsafe_set !arc_weight i w;
-    Bigarray.Array1.unsafe_set !arc_transit i t;
-    k := i + 1
-  in
   let problem lineno sn sm =
     if !n >= 0 then fail lineno "duplicate problem line";
     match (int_of_string_opt sn, int_of_string_opt sm) with
@@ -71,90 +60,105 @@ let scan fmt s =
       m := m'
     | _ -> fail lineno "malformed problem line"
   in
+  (* an arc line's fields, [src dst weight] and an optional transit,
+     written by either path *)
+  let fields = Array.make 4 0 in
   (* The general line language: trim, split on spaces, one integer
      conversion per token.  Every line the fast path declines lands
      here, so tabs, carriage returns, signs, radix prefixes,
-     underscores and overlong numbers mean what int_of_string says. *)
+     underscores and overlong numbers mean what int_of_string says.
+     Returns the field count of an arc line, 0 for any other line. *)
   let slow_line lineno line =
     let line = String.trim line in
-    if line <> "" && line.[0] <> fmt.comment then
+    if line = "" || line.[0] = fmt.comment then 0
+    else
       match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
-      | [ "p"; tag; sn; sm ] when tag = fmt.tag -> problem lineno sn sm
+      | [ "p"; tag; sn; sm ] when tag = fmt.tag ->
+        problem lineno sn sm;
+        0
       | "a" :: rest when fmt.transit || List.length rest = 3 -> (
         if !n < 0 then fail lineno "arc before problem line";
         match List.map int_of_string_opt rest with
-        | [ Some u; Some v; Some w ] -> add lineno u v w 1
-        | [ Some u; Some v; Some w; Some t ] -> add lineno u v w t
+        | ([ _; _; _ ] | [ _; _; _; _ ]) as xs when List.for_all Option.is_some xs ->
+          List.iteri (fun i x -> fields.(i) <- Option.get x) xs;
+          List.length xs
         | _ -> fail lineno "malformed arc line")
       | tok :: _ -> fail lineno (Printf.sprintf "unknown record %S" tok)
-      | [] -> ()
+      | [] -> 0
   in
-  (* The fast path: [a] then 3 (or, with transits, 4) space-separated
-     [-?[0-9]{1,18}] fields, optional trailing spaces, end of line.
-     Returns the index of the line's end (its newline or [len]) after
-     adding the arc, or -1 to hand the line to [slow_line] untouched;
-     [stop] is -2 while the line is still being scanned. *)
-  let fields = Array.make 4 0 in
   let max_fields = if fmt.transit then 4 else 3 in
-  let fast_arc lineno p =
-    let i = ref (p + 1) and nf = ref 0 and stop = ref (-2) in
-    while !stop = -2 do
-      let j = ref !i in
-      while !j < len && String.unsafe_get s !j = ' ' do incr j done;
-      let j = !j in
-      if j = len || String.unsafe_get s j = '\n' then
-        stop := if !nf >= 3 then j else -1
-      else if j = !i || !nf = max_fields then stop := -1
-      else begin
-        let neg = String.unsafe_get s j = '-' in
-        let d0 = if neg then j + 1 else j in
-        let e = ref d0 and v = ref 0 in
-        while
-          !e < len
-          && !e - d0 <= max_fast_digits
-          && String.unsafe_get s !e >= '0'
-          && String.unsafe_get s !e <= '9'
-        do
-          v := (10 * !v) + (Char.code (String.unsafe_get s !e) - 48);
-          incr e
-        done;
-        let digits = !e - d0 in
-        if digits = 0 || digits > max_fast_digits then stop := -1
-        else begin
-          fields.(!nf) <- (if neg then - !v else !v);
-          incr nf;
-          i := !e
-        end
-      end
-    done;
-    if !stop >= 0 then
-      add lineno fields.(0) fields.(1) fields.(2)
-        (if !nf = 4 then fields.(3) else 1);
-    !stop
-  in
-  let line_end p =
-    match String.index_from_opt s p '\n' with Some e -> e | None -> len
-  in
   let pos = ref 0 and lineno = ref 0 in
-  (* one more line than newlines, as String.split_on_char counts them *)
+  (* one more line than newlines, as String.split_on_char counts them:
+     the sentinel ends the last one *)
   while !pos <= len do
     incr lineno;
     let p = !pos in
-    let e =
-      if p = len then len
-      else
-        let c = String.unsafe_get s p in
-        if c = '\n' then p
-        else if c = fmt.comment then line_end p
-        else
-          let e = if c = 'a' && !n >= 0 then fast_arc !lineno p else -1 in
-          if e >= 0 then e
+    let c = Bytes.unsafe_get buf p in
+    (* The fast path: [a] then 3 (or, with transits, 4) space-separated
+       [-?[0-9]{1,18}] fields, optional trailing spaces, end of line.
+       [stop] becomes the line's end after the last field, or -1 to
+       hand the line to [slow_line] untouched; it is -2 while the line
+       is still being scanned. *)
+    let nf = ref 0 and stop = ref (-1) in
+    if c = 'a' && !n >= 0 then begin
+      let i = ref (p + 1) in
+      stop := -2;
+      while !stop = -2 do
+        let j = ref !i in
+        while Bytes.unsafe_get buf !j = ' ' do incr j done;
+        let j = !j in
+        let cj = Bytes.unsafe_get buf j in
+        if cj = '\n' then stop := if !nf >= 3 then j else -1
+        else if j = !i || !nf = max_fields then stop := -1
+        else begin
+          let neg = cj = '-' in
+          let d0 = if neg then j + 1 else j in
+          let e = ref d0 and v = ref 0 in
+          while
+            let d = Bytes.unsafe_get buf !e in
+            d >= '0' && d <= '9'
+          do
+            v := (10 * !v) + (Char.code (Bytes.unsafe_get buf !e) - 48);
+            incr e
+          done;
+          let digits = !e - d0 in
+          if digits = 0 || digits > max_fast_digits then stop := -1
           else begin
-            let e = line_end p in
-            slow_line !lineno (String.sub s p (e - p));
-            e
+            Array.unsafe_set fields !nf (if neg then - !v else !v);
+            incr nf;
+            i := !e
           end
+        end
+      done
+    end;
+    let e =
+      if !stop >= 0 then !stop
+      else if c = '\n' then p
+      else begin
+        let e = Bytes.index_from buf p '\n' in
+        if c <> fmt.comment then
+          nf := slow_line !lineno (Bytes.sub_string buf p (e - p));
+        e
+      end
     in
+    if !nf > 0 then begin
+      (* the checks and messages Digraph.add_arc applied when the
+         parsers went through a builder, then the declared-count rule *)
+      let u = fields.(0) and v = fields.(1) and w = fields.(2) in
+      let t = if !nf = 4 then fields.(3) else 1 in
+      let lineno = !lineno in
+      if u < 1 || u > !n || v < 1 || v > !n then
+        fail lineno "Digraph.add_arc: endpoint out of range";
+      if t < 0 then fail lineno "Digraph.add_arc: negative transit time";
+      let i = !k in
+      if i = !m then
+        fail lineno (Printf.sprintf "more arcs than the %d declared" !m);
+      Bigarray.Array1.unsafe_set !arc_src i (u - 1);
+      Bigarray.Array1.unsafe_set !arc_dst i (v - 1);
+      Bigarray.Array1.unsafe_set !arc_weight i w;
+      Bigarray.Array1.unsafe_set !arc_transit i t;
+      k := i + 1
+    end;
     pos := e + 1
   done;
   if !n < 0 then failwith "Graph_io: missing problem line";
@@ -164,24 +168,49 @@ let scan fmt s =
   Digraph.Unsafe.of_label_arrays ~n:!n ~m:!m ~arc_src:!arc_src
     ~arc_dst:!arc_dst ~arc_weight:!arc_weight ~arc_transit:!arc_transit
 
-let of_string = scan native
-let of_dimacs = scan dimacs
+(* [s] copied into the scanner's buffer shape: its bytes, then the
+   sentinel *)
+let scan_string fmt s =
+  let len = String.length s in
+  let buf = Bytes.create (len + 1) in
+  Bytes.blit_string s 0 buf 0 len;
+  Bytes.unsafe_set buf len '\n';
+  scan fmt buf len
+
+let of_string = scan_string native
+let of_dimacs = scan_string dimacs
 
 let write_file path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc (to_string g))
 
-let slurp path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      really_input_string ic (in_channel_length ic))
-
-let read_file path = of_string (slurp path)
-
+(* The file's bytes in a fresh buffer, read to end of file.  The
+   channel's length only sizes the buffer: room for that many bytes,
+   one more to see the end of the file without growing, and the
+   sentinel.  A file that shrinks while it is read yields the bytes
+   that were there, and one that grows (or a pipe, which has no
+   length) grows the buffer, so the scanner, not the read, judges what
+   arrived. *)
 let load path =
   let fmt = if Filename.check_suffix path ".gr" then dimacs else native in
-  scan fmt (slurp path)
+  let buf, len =
+    In_channel.with_open_bin path (fun ic ->
+        let hint =
+          try Int64.to_int (In_channel.length ic) with Sys_error _ -> 0
+        in
+        let rec fill buf len =
+          let room = Bytes.length buf - 1 - len in
+          if room = 0 then fill (Bytes.extend buf 0 (Bytes.length buf)) len
+          else
+            match In_channel.input ic buf len room with
+            | 0 -> (buf, len)
+            | r -> fill buf (len + r)
+        in
+        fill (Bytes.create (hint + 2)) 0)
+  in
+  Bytes.unsafe_set buf len '\n';
+  scan fmt buf len
 
 let to_dimacs g =
   let buf = Buffer.create (32 * (Digraph.m g + 1)) in

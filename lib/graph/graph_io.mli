@@ -28,7 +28,9 @@
     sizes the four label arrays from the problem line, writes each arc
     straight into them and hands them to the CSR build without a copy.
     A well-formed arc line — [a] and then space-separated
-    [-?[0-9]{1,18}] fields — is parsed in one pass.  Any other line
+    [-?[0-9]{1,18}] fields — is parsed in one pass over a buffer that
+    ends in a newline sentinel, so the pass tests no index against the
+    input's length.  Any other line
     takes the general path (trim, split on spaces, [int_of_string] per
     token), so signs, radix prefixes, underscores, tabs, carriage
     returns and overlong numbers are accepted or rejected exactly as
@@ -42,14 +44,16 @@ val of_string : string -> Digraph.t
 (** @raise Failure with a line-numbered message on malformed input. *)
 
 val write_file : string -> Digraph.t -> unit
-val read_file : string -> Digraph.t
 
 val load : string -> Digraph.t
-(** {!read_file}, except that a [.gr] suffix selects {!of_dimacs} —
-    the one format-dispatch rule every front-end (solve, batch, serve,
-    stream, cluster workers) shares.  Both read the file with the same
-    single read.
-    @raise Sys_error if the file cannot be read.
+(** Reads a graph file: {!of_dimacs} for a [.gr] suffix, {!of_string}
+    for any other — the one format-dispatch rule every front-end
+    (solve, batch, serve, stream, cluster workers) shares.  The file
+    is read to its end into one fresh buffer; its length only sizes
+    that buffer, so a file that changes size while it is read gets the
+    scanner's verdict on the bytes that arrived (a truncated file, the
+    same [Failure] as a short string), never [End_of_file].
+    @raise Sys_error if the file cannot be opened or read.
     @raise Failure on malformed input. *)
 
 val to_dot : ?name:string -> ?highlight:int list -> Digraph.t -> string

@@ -35,7 +35,7 @@ let test_file_io () =
       let g = sample () in
       Graph_io.write_file path g;
       Alcotest.(check bool) "file roundtrip" true
-        (Digraph.equal_structure g (Graph_io.read_file path)))
+        (Digraph.equal_structure g (Graph_io.load path)))
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -174,15 +174,37 @@ let gen_mutated render =
   let+ seed = int_range 0 1_000_000 in
   mutate (Rng.create seed) (render g)
 
+(* [text] written to a file with suffix [ext] (rewriting it in place,
+   so a shorter text follows a longer one in the same file), loaded
+   with Graph_io.load *)
+let load_outcome ext =
+  let path = Filename.temp_file "ocr_scan" ext in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  fun text ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    outcome Graph_io.load path
+
 let qcheck_scanner_matches_oracle name render =
+  let load_ocr = load_outcome ".ocr" and load_gr = load_outcome ".gr" in
   QCheck.Test.make
     ~name:(Printf.sprintf "io: scanner = line-splitting oracle on mutated %s" name)
     ~count:1500
     (QCheck.make ~print:String.escaped (gen_mutated render))
     (fun s ->
-      (* each input goes through both formats' loaders *)
-      outcome Graph_io.of_string s = outcome Helpers.oracle_of_string s
-      && outcome Graph_io.of_dimacs s = outcome Helpers.oracle_of_dimacs s)
+      (* each input goes through both formats' loaders, from the
+         string and from a file; the text less its last byte (no final
+         newline, for most) is loaded right after it from the same
+         file *)
+      let shorter = String.sub s 0 (max 0 (String.length s - 1)) in
+      List.for_all
+        (fun s ->
+          let native = outcome Helpers.oracle_of_string s
+          and dimacs = outcome Helpers.oracle_of_dimacs s in
+          outcome Graph_io.of_string s = native
+          && outcome Graph_io.of_dimacs s = dimacs
+          && load_ocr s = native
+          && load_gr s = dimacs)
+        [ s; shorter ])
 
 (* With the declared count honoured, the oracle is the old parser
    verbatim: no hook fires, so nothing but the count rule moved. *)
@@ -218,6 +240,26 @@ let suite =
       expect_message "fast path: endpoint out of range" Graph_io.of_string
         "p ocr 2 1\na 1 3 3\n"
         "Graph_io: line 2: Digraph.add_arc: endpoint out of range";
+      Alcotest.test_case "load: a file with no length" `Quick (fun () ->
+          (* a FIFO reports no length, so the read runs on the hint's
+             fallback and grows its buffer to end of file *)
+          let dir = Filename.temp_file "ocr_fifo" "" in
+          Sys.remove dir;
+          Unix.mkdir dir 0o700;
+          let path = Filename.concat dir "g.ocr" in
+          Unix.mkfifo path 0o600;
+          let g = sample () in
+          let writer =
+            Domain.spawn (fun () ->
+                Out_channel.with_open_bin path (fun oc ->
+                    output_string oc (Graph_io.to_string g)))
+          in
+          let loaded = Graph_io.load path in
+          Domain.join writer;
+          Sys.remove path;
+          Unix.rmdir dir;
+          Alcotest.(check bool) "fifo roundtrip" true
+            (Digraph.equal_structure g loaded));
       Alcotest.test_case "slow path: int_of_string language" `Quick (fun () ->
           let g =
             Graph_io.of_string
