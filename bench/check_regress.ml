@@ -19,7 +19,9 @@
    and the within-run time ratios E21's "newton_over_howard", E22's
    "potentials_over_certify" and E23's "workspace_over_fresh" (both
    sides timed in the same run, so the host cancels) may grow at most
-   2x.  What *is* gated hard, with no
+   2x, and E20's loader rows (workload load_ocr / load_gr) must keep
+   their "speedup" over the in-run reference parser at least half its
+   baseline.  What *is* gated hard, with no
    tolerance, is every "identical", "exact_matches_float" and
    "access_complete" flag in the current file: the first encodes the
    determinism guarantee (parallel report bit-equal to jobs=1), the
@@ -146,6 +148,13 @@ let gated_ratios =
   [ "newton_over_howard"; "potentials_over_certify"; "workspace_over_fresh" ]
 let ratio_factor = 2.0
 
+(* A recorded speedup over an in-run reference is the same within-run
+   ratio upside down, so it may shrink at most [ratio_factor]-fold.
+   Only the rows named here are gated: E20's loaders.  The
+   sub-microsecond dyn_fingerprint rows divide by a timer-resolution
+   denominator and would trip on noise. *)
+let gated_speedup_rows = [ "workload=load_ocr"; "workload=load_gr" ]
+
 let failures = ref 0
 let warnings = ref 0
 let checked = ref 0
@@ -180,6 +189,18 @@ let path_num tag path =
   find 0
 
 let path_jobs path = path_num "jobs=" path
+
+(* whether [path] names a row whose discriminators include [tag]
+   ("workload=load_gr" in ".../layers[family=sprand,workload=load_gr]/speedup") *)
+let path_has tag path =
+  let tl = String.length tag and n = String.length path in
+  let rec find i =
+    i + tl < n
+    && ((String.sub path i tl = tag
+        && (path.[i + tl] = ',' || path.[i + tl] = ']'))
+       || find (i + 1))
+  in
+  find 0
 
 (* whether a row's timing depends on the host's parallelism: a jobs>1
    solve or a workers>1 cluster run — exactly the rows whose timings
@@ -272,6 +293,14 @@ let check_pair ~baseline ~current =
           Printf.sprintf "%.4f (baseline %.4f, limit %.4f)" c b limit
         in
         against path ~ok:(fun c -> c <= limit) ~pass:report ~fail:report
+      | Num b
+        when leaf_name path = "speedup"
+             && List.exists (fun tag -> path_has tag path) gated_speedup_rows ->
+        let floor = b /. ratio_factor in
+        let report c =
+          Printf.sprintf "%.2fx (baseline %.2fx, floor %.2fx)" c b floor
+        in
+        against path ~ok:(fun c -> c >= floor) ~pass:report ~fail:report
       | _ -> ())
     base
 

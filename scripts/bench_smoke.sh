@@ -48,7 +48,10 @@ gate --speedup bench-e14.json 4 1.2
 # 2x the recorded ratio; BENCH_pr34.json gates E23, one exact probe in
 # the domain's workspace against the same probe over fresh arrays: its
 # identical flags strict and its within-run workspace_ms / fresh_ms at
-# most 2x the recorded ratio.
+# most 2x the recorded ratio; BENCH_pr35.json gates E20 at the lean
+# load path (sentinel scanner, out-CSR only): its identical flags
+# strict and each load_ocr / load_gr row's speedup over the in-run
+# reference parser at least half the recorded one.
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -62,7 +65,8 @@ gate \
   BENCH_pr30.json bench-e18.json \
   BENCH_pr31.json bench-e21.json \
   BENCH_pr33.json bench-e22.json \
-  BENCH_pr34.json bench-e23.json
+  BENCH_pr34.json bench-e23.json \
+  BENCH_pr35.json bench-e20.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)
