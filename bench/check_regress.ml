@@ -17,9 +17,9 @@
    deterministic counts E21's "newton_probes" and E13's "resolved"
    (components a session query re-solved) must equal their baseline,
    and the within-run time ratios E21's "newton_over_howard", E22's
-   "potentials_over_certify" and E23's "workspace_over_fresh" (both
-   sides timed in the same run, so the host cancels) may grow at most
-   2x, and E20's loader rows (workload load_ocr / load_gr) must keep
+   "potentials_over_certify", E23's "workspace_over_fresh" and E13c's
+   "step_over_reference" (both sides timed in the same run, so the
+   host cancels) may grow at most 2x, and E20's loader rows (workload load_ocr / load_gr) must keep
    their "speedup" over the in-run reference parser at least half its
    baseline.  What *is* gated hard, with no
    tolerance, is every "identical", "exact_matches_float" and
@@ -140,12 +140,13 @@ let gated_metric path =
    their own: a deterministic count (Newton's probes in E21, the
    components an E13 edit round re-solved) must not change at all,
    and a within-run time ratio (E21's newton_ms / howard_ms, E22's
-   potentials_ms / certify_ms, E23's workspace_ms / fresh_ms, both
-   sides timed on the same host, so the host cancels) may grow at most
-   [ratio_factor]-fold. *)
+   potentials_ms / certify_ms, E23's workspace_ms / fresh_ms, E13c's
+   step_ms / reference_ms, both sides timed on the same host, so the
+   host cancels) may grow at most [ratio_factor]-fold. *)
 let exact_counts = [ "newton_probes"; "resolved" ]
 let gated_ratios =
-  [ "newton_over_howard"; "potentials_over_certify"; "workspace_over_fresh" ]
+  [ "newton_over_howard"; "potentials_over_certify"; "workspace_over_fresh";
+    "step_over_reference" ]
 let ratio_factor = 2.0
 
 (* A recorded speedup over an in-run reference is the same within-run

@@ -824,16 +824,123 @@ let e12 _cfg =
 (* a) single-arc weight edits on SPRAND: median session edit+query vs  *)
 (* a cold Solver.solve of the same edited graph.  b) edit locality on  *)
 (* many_scc: the fewer components a round of edits touches, the fewer  *)
-(* the session re-solves.  --bench-json FILE writes the numbers in     *)
-(* machine-readable form (BENCH_pr3.json).                             *)
+(* the session re-solves.  c) one structural step (edit + fingerprint  *)
+(* + query) against a full re-partition of the same graph.            *)
+(* --bench-json FILE writes the numbers in machine-readable form       *)
+(* (BENCH_pr3.json; BENCH_pr39.json adds c).                           *)
 (* ------------------------------------------------------------------ *)
 
-let e13 _cfg =
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* E13c: structural steps of a session.  Each step is one edit, then
+   Dyn.fingerprint and Dyn.query, timed as one; right after it the
+   reference — Scc.compute + Scc.partition + Fingerprint.of_graph, what
+   a full re-partition costs on top of the CSR build — is timed on
+   Dyn.graph of the same session.  A step kind's row holds the medians,
+   their ratio, the components its steps re-solved in all
+   (deterministic) and its mean minor/major words per step (Gc.counters
+   around each step, after one Gc.full_major (); OCaml 5.1's
+   Gc.quick_stat adds the minor heap's words only when it is collected,
+   so it would bill a step that collects for the reference's
+   allocations).  On the stream-edit circuit (one
+   SCC) the steps are an insertion inside the component and the
+   removal of the arc just inserted; on many_scc also an insertion
+   that merges two neighbouring components, which takes the full
+   re-partition (its undo, a split, is not timed). *)
+let structural_steps () =
+  let reps = 64 in
+  let run family g ~objective plan =
+    let s = Dyn.create ~objective g in
+    ignore (Dyn.query s);
+    let kinds = List.filter_map fst plan in
+    let stat k =
+      ( k,
+        ( Array.make reps 0.0,
+          Array.make reps 0.0,
+          ref 0,
+          ref 0.0,
+          ref 0.0 ) )
+    in
+    let stats = List.map stat kinds in
+    Gc.full_major ();
+    for i = 0 to reps - 1 do
+      List.iter
+        (fun (kind, edit) ->
+          match kind with
+          | None ->
+            edit s i;
+            ignore (Dyn.fingerprint s);
+            ignore (Dyn.query s)
+          | Some k ->
+            let step, reference, resolved, minor, major = List.assoc k stats in
+            let minor0, _, major0 = Gc.counters () in
+            let t0 = Unix.gettimeofday () in
+            edit s i;
+            ignore (Dyn.fingerprint s);
+            let r = Dyn.query s in
+            step.(i) <- 1000.0 *. (Unix.gettimeofday () -. t0);
+            let minor1, _, major1 = Gc.counters () in
+            minor := !minor +. minor1 -. minor0;
+            major := !major +. major1 -. major0;
+            (match r with
+            | Some r -> resolved := !resolved + r.Dyn.resolved
+            | None -> ());
+            let g = Dyn.graph s in
+            let t0 = Unix.gettimeofday () in
+            let scc = Scc.compute g in
+            ignore (Scc.partition g scc);
+            ignore (Fingerprint.of_graph g);
+            reference.(i) <- 1000.0 *. (Unix.gettimeofday () -. t0))
+        plan
+    done;
+    Dyn.close s;
+    List.map
+      (fun (k, (step, reference, resolved, minor, major)) ->
+        let per x = !x /. float_of_int reps in
+        ( family, k, Digraph.n g, Digraph.m g, median step, median reference,
+          !resolved, per minor, per major ))
+      stats
   in
+  let last = ref (-1) in
+  let insert ~src ~dst s i =
+    last := Dyn.add_arc s ~src ~dst ~weight:(1 + (i mod 100)) ~transit:1
+  in
+  let remove s _ = Dyn.remove_arc s !last in
+  let circuit = Circuit.generate ~seed:1 ~registers:4096 () in
+  let n = Digraph.n circuit in
+  let components = 64 and size = 32 in
+  let blocks = Families.many_scc ~components ~size () in
+  let in_block s i =
+    let base = i mod components * size in
+    insert ~src:(base + (i * 7 mod size)) ~dst:(base + ((i * 13) + 5) mod size)
+      s i
+  in
+  (* block b's last node bridges to block b + 1's first; the reverse
+     arc merges the two *)
+  let merge s i =
+    let b = i mod (components - 1) in
+    insert ~src:((b + 1) * size) ~dst:(b * size) s i
+  in
+  run "circuit" circuit ~objective:Solver.Maximize
+    [
+      ( Some "insert_intra",
+        fun s i ->
+          let src = i * 7919 mod n in
+          insert ~src ~dst:((src + 1 + (i mod 8)) mod n) s i );
+      (Some "remove_inserted", remove);
+    ]
+  @ run "many_scc" blocks ~objective:Solver.Minimize
+      [
+        (Some "insert_intra", in_block);
+        (Some "remove_inserted", remove);
+        (Some "insert_merge", merge);
+        (None, remove);
+      ]
+
+let e13 _cfg =
   (* a) SPRAND single-arc edits: the steady state of an optimization
      loop — one weight changes, the optimum is re-queried *)
   let edits = 32 in
@@ -948,6 +1055,25 @@ let e13 _cfg =
            Printf.sprintf "%.2fx" (cold_ms /. ms);
          ])
        locality);
+  let steps = structural_steps () in
+  Tables.print
+    ~title:
+      "E13c: one structural step (edit + fingerprint + query) vs a full \
+       re-partition of the same graph (reference = Scc.compute + \
+       Scc.partition + Fingerprint.of_graph; medians of 64 steps; words \
+       per step; resolved = components re-solved over the 64)"
+    ~header:
+      [ "family"; "step"; "n"; "m"; "step ms"; "reference ms"; "step/ref";
+        "resolved"; "minor words"; "major words" ]
+    (List.map
+       (fun (family, kind, n, m, ms, ref_ms, resolved, minor, major) ->
+         [
+           family; kind; string_of_int n; string_of_int m; Tables.fmt_ms ms;
+           Tables.fmt_ms ref_ms; Printf.sprintf "%.3f" (ms /. ref_ms);
+           string_of_int resolved; Printf.sprintf "%.0f" minor;
+           Printf.sprintf "%.0f" major;
+         ])
+       steps);
   match !bench_json_path with
   | None -> ()
   | Some path ->
@@ -979,7 +1105,19 @@ let e13 _cfg =
           k resolved cores ms (cold_ms /. ms)
           (if i < List.length locality - 1 then "," else ""))
       locality;
-    out "  ]}\n}\n";
+    out "  ]},\n";
+    out "  \"structural_step\": [\n";
+    List.iteri
+      (fun i (family, kind, n, m, ms, ref_ms, resolved, minor, major) ->
+        out
+          "    {\"family\": %S, \"workload\": %S, \"n\": %d, \"m\": %d, \
+           \"host_cores\": %d, \"step_ms\": %.4f, \"reference_ms\": %.4f, \
+           \"step_over_reference\": %.4f, \"resolved\": %d, \
+           \"minor_words\": %.0f, \"major_words\": %.0f}%s\n"
+          family kind n m cores ms ref_ms (ms /. ref_ms) resolved minor major
+          (if i < List.length steps - 1 then "," else ""))
+      steps;
+    out "  ]\n}\n";
     close_out oc;
     Printf.printf "wrote %s\n" path
 
@@ -1619,6 +1757,8 @@ let e19 _cfg =
 (* equal the reference Tarjan's, every subproblem equals               *)
 (* Digraph.induced, equal structures fingerprint equal, and a session's *)
 (* fingerprint equals its snapshot's through a scripted edit sequence. *)
+(* Every timed layer starts after a Gc.full_major (), so none pays for *)
+(* the garbage of generating the graphs or of the layer before it.     *)
 (* --bench-json FILE writes BENCH_pr23.json's shape.                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1672,6 +1812,12 @@ let e20 _cfg =
       (workload, family, Digraph.n g, Digraph.m g, ms, reference_ms, identical)
       :: !rows
   in
+  (* every timed layer starts from a collected heap, so none pays for
+     the garbage of generating the graphs or of the layer before it *)
+  let settled f =
+    Gc.full_major ();
+    Timing.time_ms ~reps:5 f
+  in
   let measure (family, g) =
     let n = Digraph.n g in
     (* the two loaders: file bytes -> graph, reference on the same bytes *)
@@ -1685,10 +1831,8 @@ let e20 _cfg =
           render loaded = text
           && Digraph.equal_structure loaded (reference (slurp path))
         in
-        let ms = Timing.time_ms ~reps:5 (fun () -> ignore (Graph_io.load path)) in
-        let reference_ms =
-          Timing.time_ms ~reps:5 (fun () -> ignore (reference (slurp path)))
-        in
+        let ms = settled (fun () -> ignore (Graph_io.load path)) in
+        let reference_ms = settled (fun () -> ignore (reference (slurp path))) in
         Sys.remove path;
         row ~workload ~family g ~ms ~reference_ms ~identical)
       [
@@ -1698,9 +1842,8 @@ let e20 _cfg =
     let scc = Scc.compute g in
     let count, component = Reference.scc_components g in
     row ~workload:"scc_compute" ~family g
-      ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Scc.compute g)))
-      ~reference_ms:
-        (Timing.time_ms ~reps:5 (fun () -> ignore (Reference.scc_components g)))
+      ~ms:(settled (fun () -> ignore (Scc.compute g)))
+      ~reference_ms:(settled (fun () -> ignore (Reference.scc_components g)))
       ~identical:(scc.Scc.count = count && scc.Scc.component = component);
     (* the reference partition is the copying sweep, which the old code
        ran for a single component too *)
@@ -1721,15 +1864,14 @@ let e20 _cfg =
            subs
     in
     row ~workload:"scc_partition" ~family g
-      ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Scc.partition g scc)))
-      ~reference_ms:(Timing.time_ms ~reps:5 (fun () -> ignore (copy ())))
+      ~ms:(settled (fun () -> ignore (Scc.partition g scc)))
+      ~reference_ms:(settled (fun () -> ignore (copy ())))
       ~identical;
     (* the per-arc sum against the chained hash it replaced *)
     let rebuilt = Graph_io.of_string (Graph_io.to_string g) in
     row ~workload:"fingerprint" ~family g
-      ~ms:(Timing.time_ms ~reps:5 (fun () -> ignore (Fingerprint.of_graph g)))
-      ~reference_ms:
-        (Timing.time_ms ~reps:5 (fun () -> ignore (Reference.fingerprint g)))
+      ~ms:(settled (fun () -> ignore (Fingerprint.of_graph g)))
+      ~reference_ms:(settled (fun () -> ignore (Reference.fingerprint g)))
       ~identical:
         (Fingerprint.equal (Fingerprint.of_graph g)
            (Fingerprint.of_graph rebuilt));
@@ -1744,12 +1886,14 @@ let e20 _cfg =
     let mat = Digraph.negate_weights g in
     row ~workload:"dyn_fingerprint" ~family g
       ~ms:
-        (time_batch_ms ~batch:64 (fun i ->
+        (Gc.full_major ();
+         time_batch_ms ~batch:64 (fun i ->
              let a, w = edit i in
              Dyn.set_weight s a w;
              ignore (Dyn.fingerprint s)))
       ~reference_ms:
-        (time_batch_ms ~batch:4 (fun i ->
+        (Gc.full_major ();
+         time_batch_ms ~batch:4 (fun i ->
              let a, w = edit i in
              Digraph.Unsafe.set_weight mat a (-w);
              ignore (Reference.fingerprint (Digraph.negate_weights mat))))

@@ -2,8 +2,6 @@ type cause = Iterations | Deadline
 
 exception Exceeded of cause
 
-let cause_name = function Iterations -> "iterations" | Deadline -> "deadline"
-
 type t = {
   remaining : int Atomic.t option; (* None when unbounded *)
   now : (unit -> float) option;

@@ -23,9 +23,6 @@ type cause = Iterations | Deadline
 
 exception Exceeded of cause
 
-val cause_name : cause -> string
-(** ["iterations"] or ["deadline"]. *)
-
 type t
 
 val create :

@@ -51,10 +51,6 @@ let native_ratio = function
   | Burns | Howard | Lawler | Oa1 | Oa2 | Ko | Yto -> true
   | Ho | Karp | Dg | Karp2 -> false
 
-let supports_budget = function
-  | Howard | Ho | Karp2 -> true
-  | Burns | Ko | Yto | Karp | Dg | Lawler | Oa1 | Oa2 -> false
-
 (* [pool] parallelizes the intra-SCC improvement sweep; only Howard
    has a chunkable kernel, every other algorithm ignores it *)
 let minimum_cycle_mean alg ?stats ?budget ?pool g =

@@ -44,20 +44,16 @@ val native_ratio : algorithm -> bool
     goes through the Hartmann–Orlin transit-time expansion
     ({!Expand}). *)
 
-val supports_budget : algorithm -> bool
-(** Whether the algorithm honors a mid-solve {!Budget} (Howard per
-    policy iteration, HO per table level, Karp2 per relaxation pass).
-    For the others a supplied budget is only consulted between
-    strongly connected components by {!Solver}. *)
-
 val minimum_cycle_mean :
   algorithm -> ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->
   Digraph.t -> Ratio.t * int list
 (** [pool] parallelizes the intra-SCC improvement sweep of {!Howard}
     (bit-identical answers and stats with or without it); the other
     algorithms ignore it.
-    @raise Budget.Exceeded from budget-supporting algorithms when the
-    supplied budget runs out mid-solve. *)
+    @raise Budget.Exceeded from Howard (per policy iteration), HO (per
+    table level) and Karp2 (per relaxation pass) when the supplied
+    budget runs out mid-solve; the others only see it between
+    components, in {!Solver}. *)
 
 val minimum_cycle_ratio :
   algorithm -> ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->

@@ -75,8 +75,8 @@ val solve :
     runs inline with no domain spawned.
 
     [budget] bounds the work: the clock is checked before every
-    component and budget-supporting algorithms
-    ({!Registry.supports_budget}) tick it mid-solve (the iteration
+    component, and Howard (per policy iteration), HO (per table level)
+    and Karp2 (per relaxation pass) tick it mid-solve (the iteration
     counter is atomic, so one budget governs the whole pool);
     exhaustion raises {!Deadline_exceeded} carrying the partial result.
 

@@ -27,6 +27,17 @@ type part = {
       (* min-form λ, witness session arc ids *)
 }
 
+(* Structural updates since the materialization and the partition were
+   last built.  One insertion or removal may take [refresh]'s local
+   path; anything more re-partitions in full. *)
+type pending =
+  | Synced          (* materialization and partition are current *)
+  | Added of int    (* exactly one arc inserted since *)
+  | Removed of int  (* exactly one arc removed since *)
+  | Stale           (* no partition yet, or several structural edits *)
+
+type ints = Digraph.int_array1
+
 type t = {
   nn : int;
   prob : Solver.problem;
@@ -34,12 +45,16 @@ type t = {
   mutable pool : Executor.t option;
   owns_pool : bool;
   mutable closed : bool;
-  (* session arc store: ids are stable, removed ids stay dead *)
-  srcs : int Vec.t;
-  dsts : int Vec.t;
-  weights : int Vec.t;  (* user-form weights *)
-  transits : int Vec.t;
-  alive : bool Vec.t;
+  (* session arc store: ids are stable, removed ids stay dead.  Valid
+     below [count] and grown by doubling.  It and the id maps below
+     live off the heap, so the major GC neither marks nor sweeps them
+     (see [refresh]). *)
+  mutable count : int;
+  mutable srcs : ints;
+  mutable dsts : ints;
+  mutable weights : ints;  (* user-form weights *)
+  mutable transits : ints;
+  mutable alive : Bytes.t;  (* '\001' for a live arc *)
   mutable live : int;
   mutable ep : int;
   (* preflight bookkeeping, maintained incrementally *)
@@ -48,22 +63,45 @@ type t = {
   mutable wabs_stale : bool;  (* ... unless stale (max may have left) *)
   mutable ratio_ok : bool option; (* cached well-posedness verdict *)
   (* materialization: mat (min-form weights) + id maps + partition.
-     [struct_valid] covers all of them; label updates keep them in sync
-     in place, structural updates invalidate and [refresh] rebuilds. *)
-  mutable struct_valid : bool;
+     [pending] covers all of them; label updates keep them in sync in
+     place, structural updates leave them stale and [refresh] rebuilds.
+     The id maps are reused across rebuilds, so they may be longer
+     than [arc_count] and [live]. *)
+  mutable pending : pending;
   mutable mat : Digraph.t;
-  mutable mat_of_session : int array; (* session arc -> mat arc | -1 *)
-  mutable session_of_mat : int array;
+  mutable mat_of_session : ints;  (* session arc -> mat arc | -1 *)
+  mutable session_of_mat : ints;
   mutable parts : part array;         (* component (rev. topo) order *)
   mutable comp_of_node : int array;   (* node -> part index | -1 *)
-  mutable sub_idx : int array;        (* intra-part session arc -> sub arc *)
-  pending_dirty : int Vec.t; (* label edits made while struct invalid *)
+  mutable sub_idx : ints;        (* intra-part session arc -> sub arc *)
+  local_of_node : int array;     (* node -> its index in its part *)
+  (* label edits made while the partition was stale, as
+     [arc lsl 1 lor dirties] *)
+  pending_labels : int Vec.t;
+  mutable local_refreshes : int;
+  mutable full_refreshes : int;
+  (* off-heap words of this session's graphs dropped since [refresh]
+     last finished a major cycle *)
+  mutable dropped : int;
   (* fingerprint lane sums over the live arcs at their materialized
      ids, with user-form weights; valid with the materialization *)
   mutable fp_sum : Fingerprint.sum;
   (* per-epoch answer cache *)
   mutable last_report : (int * report option) option;
 }
+
+let ia len : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
+
+(* [a] itself when it holds at least [len] entries, else a copy at
+   least twice as long, its new entries unset. *)
+let grow (a : ints) len =
+  let k = Bigarray.Array1.dim a in
+  if k >= len then a
+  else begin
+    let b = ia (max len (2 * k)) in
+    Bigarray.Array1.blit a (Bigarray.Array1.sub b 0 k);
+    b
+  end
 
 let sign t = match t.obj with Solver.Minimize -> 1 | Solver.Maximize -> -1
 
@@ -76,16 +114,13 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     | None -> if jobs > 1 then (Some (Executor.create ~jobs), true) else (None, false)
   in
   let m = Digraph.m g in
-  let srcs = Vec.create () and dsts = Vec.create () in
-  let weights = Vec.create () and transits = Vec.create () in
-  let alive = Vec.create () in
+  let copy a =
+    let b = ia m in
+    Bigarray.Array1.blit (Bigarray.Array1.sub a 0 m) b;
+    b
+  in
   let total_tt = ref 0 and wabs = ref 0 in
   for a = 0 to m - 1 do
-    Vec.push srcs (Digraph.src g a);
-    Vec.push dsts (Digraph.dst g a);
-    Vec.push weights (Digraph.weight g a);
-    Vec.push transits (Digraph.transit g a);
-    Vec.push alive true;
     total_tt := !total_tt + Digraph.transit g a;
     if abs (Digraph.weight g a) > !wabs then wabs := abs (Digraph.weight g a)
   done;
@@ -96,25 +131,30 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     pool;
     owns_pool;
     closed = false;
-    srcs;
-    dsts;
-    weights;
-    transits;
-    alive;
+    count = m;
+    srcs = copy (Digraph.Unsafe.srcs g);
+    dsts = copy (Digraph.Unsafe.dsts g);
+    weights = copy (Digraph.Unsafe.weights g);
+    transits = copy (Digraph.Unsafe.transits g);
+    alive = Bytes.make m '\001';
     live = m;
     ep = 0;
     total_tt = !total_tt;
     wabs = !wabs;
     wabs_stale = false;
     ratio_ok = None;
-    struct_valid = false;
+    pending = Stale;
     mat = g;
-    mat_of_session = [||];
-    session_of_mat = [||];
+    mat_of_session = ia 0;
+    session_of_mat = ia 0;
     parts = [||];
     comp_of_node = Array.make (Digraph.n g) (-1);
-    sub_idx = [||];
-    pending_dirty = Vec.create ();
+    sub_idx = ia 0;
+    local_of_node = Array.make (Digraph.n g) 0;
+    pending_labels = Vec.create ();
+    local_refreshes = 0;
+    full_refreshes = 0;
+    dropped = 0;
     fp_sum = Fingerprint.zero ();
     last_report = None;
   }
@@ -134,78 +174,119 @@ let problem t = t.prob
 let objective t = t.obj
 let epoch t = t.ep
 
-let arc_count t = Vec.length t.srcs
+let arc_count t = t.count
 
 let check_arc name t a =
-  if a < 0 || a >= arc_count t || not (Vec.get t.alive a) then
+  if a < 0 || a >= arc_count t || Bytes.get t.alive a = '\000' then
     invalid_arg (Printf.sprintf "Dyn.%s: no live arc %d" name a)
 
-let arc_src t a = check_arc "arc_src" t a; Vec.get t.srcs a
-let arc_dst t a = check_arc "arc_dst" t a; Vec.get t.dsts a
-let arc_weight t a = check_arc "arc_weight" t a; Vec.get t.weights a
-let arc_transit t a = check_arc "arc_transit" t a; Vec.get t.transits a
-let arc_alive t a = a >= 0 && a < arc_count t && Vec.get t.alive a
+let arc_src t a = check_arc "arc_src" t a; t.srcs.{a}
+let arc_dst t a = check_arc "arc_dst" t a; t.dsts.{a}
+let arc_weight t a = check_arc "arc_weight" t a; t.weights.{a}
+let arc_transit t a = check_arc "arc_transit" t a; t.transits.{a}
+let arc_alive t a = a >= 0 && a < arc_count t && Bytes.get t.alive a <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Materialization and lazy re-partition                               *)
 (* ------------------------------------------------------------------ *)
 
-let rebuild_mat t =
-  let count = arc_count t in
-  let b = Digraph.create_builder ~expected_arcs:t.live t.nn in
-  let mos = Array.make (max count 1) (-1) in
-  let som = Array.make (max t.live 1) (-1) in
-  let sg = sign t in
+(* The one materializer: the live session arcs, in session-id order,
+   as a CSR built around four fresh label arrays, weights multiplied
+   by [sg].  With [index] the same loop also refills the id maps and
+   returns the fingerprint lane sums (user-form weights, keyed by
+   materialized id). *)
+let materialize t ~sg ~index =
+  let count = arc_count t and m = t.live in
+  let arc_src = ia m and arc_dst = ia m in
+  let arc_weight = ia m and arc_transit = ia m in
   let sum = Fingerprint.zero () in
+  if index then begin
+    t.mat_of_session <- grow t.mat_of_session count;
+    t.session_of_mat <- grow t.session_of_mat m
+  end;
+  let mos = t.mat_of_session and som = t.session_of_mat in
+  let alive = t.alive and srcs = t.srcs and dsts = t.dsts in
+  let weights = t.weights and transits = t.transits in
+  let id = ref 0 in
   for a = 0 to count - 1 do
-    if Vec.get t.alive a then begin
-      let src = Vec.get t.srcs a and dst = Vec.get t.dsts a in
-      let weight = Vec.get t.weights a and transit = Vec.get t.transits a in
-      let id = Digraph.add_arc b ~src ~dst ~weight:(sg * weight) ~transit () in
-      Fingerprint.add sum ~arc:id ~src ~dst ~weight ~transit;
-      mos.(a) <- id;
-      som.(id) <- a
+    if Bytes.get alive a <> '\000' then begin
+      let i = !id in
+      let src = srcs.{a} and dst = dsts.{a} in
+      let weight = weights.{a} and transit = transits.{a} in
+      Bigarray.Array1.unsafe_set arc_src i src;
+      Bigarray.Array1.unsafe_set arc_dst i dst;
+      Bigarray.Array1.unsafe_set arc_weight i (sg * weight);
+      Bigarray.Array1.unsafe_set arc_transit i transit;
+      if index then begin
+        Fingerprint.add sum ~arc:i ~src ~dst ~weight ~transit;
+        mos.{a} <- i;
+        som.{i} <- a
+      end;
+      id := i + 1
     end
+    else if index then mos.{a} <- -1
   done;
-  t.mat <- Digraph.build b;
-  t.mat_of_session <- mos;
-  t.session_of_mat <- som;
+  ( Digraph.Unsafe.of_label_arrays ~n:t.nn ~m ~arc_src ~arc_dst ~arc_weight
+      ~arc_transit,
+    sum )
+
+(* The off-heap words of a graph: four label arrays and the CSR. *)
+let csr_words g = (5 * Digraph.m g) + Digraph.n g + 1
+
+(* Counts a replaced part's subgraph as dropped; one covering every
+   node was the materialization, which [rebuild_mat] counts. *)
+let drop_part t p =
+  if Array.length p.p_nodes < t.nn then
+    t.dropped <- t.dropped + csr_words p.p_sub
+
+let rebuild_mat t =
+  (* the first materialization replaces the caller's graph *)
+  if t.local_refreshes + t.full_refreshes > 0 then
+    t.dropped <- t.dropped + csr_words t.mat;
+  let mat, sum = materialize t ~sg:(sign t) ~index:true in
+  t.mat <- mat;
   t.fp_sum <- sum
 
-(* Full lazy re-partition after structural updates.  Components whose
-   node set and (session-id) arc set are unchanged inherit their cached
-   optimum and dirtiness — the incremental maintenance promise: an
-   insertion or deletion only costs re-solves in the components it
-   actually touched (merged, split, or entered).  A touched component
-   is dirty and carries the old result of the component its first node
-   was in, so its re-solve starts from that λ: any λ is a sound hint,
-   and after a small edit it is often still the optimum. *)
-let rebuild_parts t =
+let same_ints (a : int array) (b : int array) =
+  let k = Array.length a in
+  k = Array.length b
+  &&
+  let rec go i = i = k || (a.(i) = b.(i) && go (i + 1)) in
+  go 0
+
+(* Full re-partition of the (already rebuilt) materialization, along
+   its components [scc].  Components whose node set and (session-id)
+   arc set are unchanged inherit their cached optimum and dirtiness —
+   the incremental maintenance promise: an insertion or deletion only
+   costs re-solves in the components it actually touched (merged,
+   split, or entered).  A touched component is dirty and carries the
+   old result of the component its first node was in, so its re-solve
+   starts from that λ: any λ is a sound hint, and after a small edit
+   it is often still the optimum. *)
+let repartition t scc =
   let old_parts = t.parts and old_comp = t.comp_of_node in
-  rebuild_mat t;
-  let scc = Scc.compute t.mat in
   let subs = Scc.partition t.mat scc in
-  Array.fill t.comp_of_node 0 t.nn (-1);
-  let count = arc_count t in
-  if Array.length t.sub_idx < count then t.sub_idx <- Array.make count (-1);
+  let comp = Array.make t.nn (-1) in
   let parts =
     Array.mapi
       (fun ci (sp : Scc.subproblem) ->
         let p_nodes = sp.Scc.node_of_sub in
         let p_arcs =
-          Array.map (fun ma -> t.session_of_mat.(ma)) sp.Scc.arc_of_sub
+          Array.map (fun ma -> t.session_of_mat.{ma}) sp.Scc.arc_of_sub
         in
-        Array.iter (fun u -> t.comp_of_node.(u) <- ci) p_nodes;
-        Array.iteri (fun i a -> t.sub_idx.(a) <- i) p_arcs;
+        Array.iteri
+          (fun i u ->
+            comp.(u) <- ci;
+            t.local_of_node.(u) <- i)
+          p_nodes;
+        Array.iteri (fun i a -> t.sub_idx.{a} <- i) p_arcs;
         (* carry-over: same nodes + same session arcs = same component *)
         let old =
-          let rep = p_nodes.(0) in
-          let oc = if Array.length old_comp = 0 then -1 else old_comp.(rep) in
-          if oc >= 0 && oc < Array.length old_parts then Some old_parts.(oc)
-          else None
+          let oc = old_comp.(p_nodes.(0)) in
+          if oc >= 0 then Some old_parts.(oc) else None
         in
         match old with
-        | Some op when op.p_nodes = p_nodes && op.p_arcs = p_arcs ->
+        | Some op when same_ints op.p_nodes p_nodes && same_ints op.p_arcs p_arcs ->
           { p_nodes; p_arcs; p_sub = sp.Scc.sub; p_dirty = op.p_dirty;
             p_result = op.p_result }
         | _ ->
@@ -213,21 +294,226 @@ let rebuild_parts t =
             p_result = Option.bind old (fun op -> op.p_result) })
       subs
   in
+  Array.iter (drop_part t) old_parts;
   t.parts <- parts;
-  (* label edits recorded while the partition was invalid dirty their
-     (new) containing component now *)
-  Vec.iter
-    (fun a ->
-      if arc_alive t a then begin
-        let cu = t.comp_of_node.(Vec.get t.srcs a) in
-        if cu >= 0 && cu = t.comp_of_node.(Vec.get t.dsts a) then
-          parts.(cu).p_dirty <- true
-      end)
-    t.pending_dirty;
-  Vec.clear t.pending_dirty;
-  t.struct_valid <- true
+  t.comp_of_node <- comp
 
-let refresh t = if not t.struct_valid then rebuild_parts t
+(* The part holding live arc [a] under the current partition, or -1
+   for an arc between components or at a node in none. *)
+let part_of_arc t a =
+  let cu = t.comp_of_node.(t.srcs.{a}) in
+  if cu >= 0 && cu = t.comp_of_node.(t.dsts.{a}) then cu else -1
+
+(* Part [p] after live arc [a] was [added] to it or removed from it,
+   in the renumbering and arc order Scc.partition gives: the nodes
+   keep their indices, and the arcs come in increasing session id —
+   an inserted arc has the largest, so it comes last.  A part covering
+   every node is [t.mat] itself, as Scc.partition hands it back.
+   Rewrites [sub_idx] from the edit on; the part is dirty and keeps
+   its own result as the hint. *)
+let edited_part t (p : part) a ~added =
+  let k = Array.length p.p_arcs in
+  let arcs, from =
+    if added then (Array.append p.p_arcs [| a |], k)
+    else begin
+      let i = t.sub_idx.{a} in
+      (Array.append (Array.sub p.p_arcs 0 i)
+         (Array.sub p.p_arcs (i + 1) (k - i - 1)), i)
+    end
+  in
+  for i = from to Array.length arcs - 1 do
+    t.sub_idx.{arcs.(i)} <- i
+  done;
+  let sub =
+    if Array.length p.p_nodes = t.nn then t.mat
+    else begin
+      let m = Array.length arcs and sg = sign t in
+      let srcs = ia m and dsts = ia m and ws = ia m and ts = ia m in
+      Array.iteri
+        (fun i a ->
+          srcs.{i} <- t.local_of_node.(t.srcs.{a});
+          dsts.{i} <- t.local_of_node.(t.dsts.{a});
+          ws.{i} <- sg * t.weights.{a};
+          ts.{i} <- t.transits.{a})
+        arcs;
+      Digraph.Unsafe.of_label_arrays ~n:(Array.length p.p_nodes) ~m
+        ~arc_src:srcs ~arc_dst:dsts ~arc_weight:ws ~arc_transit:ts
+    end
+  in
+  { p with p_arcs = arcs; p_sub = sub; p_dirty = true }
+
+(* Whether [v] is reachable from [u] in [g]: a breadth-first search
+   over the CSR, in this domain's probe workspace, that stops at [v]. *)
+let reaches g u v =
+  u = v
+  ||
+  let n = Digraph.n g in
+  let start, out = Digraph.Unsafe.out_csr g in
+  let heads = Digraph.Unsafe.dsts g in
+  Probe.borrow ~n ~m:0 (fun ws ->
+      let seen = ws.Probe.mark and queue = ws.Probe.stack in
+      Bigarray.Array1.fill (Bigarray.Array1.sub seen 0 n) 0;
+      seen.{u} <- 1;
+      queue.{0} <- u;
+      let head = ref 0 and tail = ref 1 and found = ref false in
+      while (not !found) && !head < !tail do
+        let x = queue.{!head} in
+        incr head;
+        for i = start.{x} to start.{x + 1} - 1 do
+          let y = heads.{out.{i}} in
+          if seen.{y} = 0 then begin
+            if y = v then found := true;
+            seen.{y} <- 1;
+            queue.{!tail} <- y;
+            incr tail
+          end
+        done
+      done;
+      !found)
+
+(* Puts the parts in the order of [scc]'s component ids, which is the
+   order Scc.partition would give them: an edit can change Tarjan's
+   finish order, and component order decides Fanout.best's ties. *)
+let reorder t (scc : Scc.t) =
+  let key (p : part) = scc.Scc.component.(p.p_nodes.(0)) in
+  let parts = t.parts in
+  let sorted = ref true in
+  for i = 1 to Array.length parts - 1 do
+    if key parts.(i - 1) > key parts.(i) then sorted := false
+  done;
+  if not !sorted then begin
+    let parts = Array.copy parts in
+    Array.stable_sort (fun p q -> Int.compare (key p) (key q)) parts;
+    Array.iteri
+      (fun ci p -> Array.iter (fun u -> t.comp_of_node.(u) <- ci) p.p_nodes)
+      parts;
+    t.parts <- parts
+  end
+
+type outcome =
+  | Local  (* the partition is current, only the touched part rebuilt *)
+  | Full of Scc.t option  (* re-partition; the new components, if known *)
+
+(* [refresh]'s local path, after [rebuild_mat].  It applies when the
+   one pending structural edit provably leaves the set of cyclic
+   components as it was: an insertion inside one, a removal of an arc
+   in none, or a removal of an arc (u, v) inside one that still holds
+   a path from u to v (every path through the arc can take it instead,
+   so the component stays strongly connected). *)
+let refresh_locally t =
+  let a, added =
+    match t.pending with
+    | Added a -> (a, true)
+    | Removed a -> (a, false)
+    | Synced | Stale -> (-1, false)
+  in
+  let ci = if a < 0 then -1 else part_of_arc t a in
+  if a < 0 || (added && ci < 0) then Full None
+  else begin
+    (* with one part, component order cannot change; with more, the
+       new graph's Tarjan fixes it and checks a removal *)
+    let scc = if Array.length t.parts >= 2 then Some (Scc.compute t.mat) else None in
+    let intact p =
+      (Array.length p.p_nodes >= 2 || Digraph.m p.p_sub > 0)
+      &&
+      match scc with
+      | Some scc ->
+        let c = scc.Scc.component.(p.p_nodes.(0)) in
+        Array.for_all (fun u -> scc.Scc.component.(u) = c) p.p_nodes
+      | None ->
+        reaches p.p_sub t.local_of_node.(t.srcs.{a})
+          t.local_of_node.(t.dsts.{a})
+    in
+    let kept =
+      ci < 0
+      ||
+      let p = edited_part t t.parts.(ci) a ~added in
+      let ok = added || intact p in
+      if ok then begin
+        drop_part t t.parts.(ci);
+        t.parts.(ci) <- p
+      end;
+      ok
+    in
+    if kept then begin
+      Option.iter (reorder t) scc;
+      Local
+    end
+    else Full scc
+  end
+
+let synced t = match t.pending with Synced -> true | _ -> false
+
+(* Dirty the cyclic component containing live arc [a], updating the
+   materialized copies of its label in place.  O(1).  When one
+   component covers every node, Scc.partition hands back [t.mat]
+   itself as that part's [p_sub] with identity maps, so
+   [sub_idx.{a} = mat_of_session.{a}] and the second pair of writes
+   lands on the same arrays, at the same index, with the same value:
+   redundant, never inconsistent. *)
+let touch_label t a ~dirties =
+  if synced t then begin
+    let ma = t.mat_of_session.{a} in
+    let sg = sign t in
+    Digraph.Unsafe.set_weight t.mat ma (sg * t.weights.{a});
+    Digraph.Unsafe.set_transit t.mat ma t.transits.{a};
+    let cu = part_of_arc t a in
+    if cu >= 0 then begin
+      let p = t.parts.(cu) in
+      let i = t.sub_idx.{a} in
+      Digraph.Unsafe.set_weight p.p_sub i (sg * t.weights.{a});
+      Digraph.Unsafe.set_transit p.p_sub i t.transits.{a};
+      if dirties then p.p_dirty <- true
+    end
+  end
+  else Vec.push t.pending_labels ((a lsl 1) lor Bool.to_int dirties)
+
+(* [refresh]'s work, once per structural step that a query or a
+   fingerprint settles (docs/OBS.md). *)
+let sp_rebuild = Obs.intern "dyn.rebuild"
+
+(* Brings the materialization and the partition up to date: one CSR
+   build over the arc store, then the local path or a full
+   re-partition, then the label edits made meanwhile land in place as
+   they would have on a current partition. *)
+let refresh t =
+  if not (synced t) then begin
+    let tr = !Obs.enabled_flag in
+    if tr then Trace.begin_span sp_rebuild;
+    t.sub_idx <- grow t.sub_idx (arc_count t);
+    rebuild_mat t;
+    (match refresh_locally t with
+    | Local -> t.local_refreshes <- t.local_refreshes + 1
+    | Full scc ->
+      t.full_refreshes <- t.full_refreshes + 1;
+      repartition t
+        (match scc with Some scc -> scc | None -> Scc.compute t.mat));
+    t.pending <- Synced;
+    Vec.iter
+      (fun code ->
+        let a = code lsr 1 in
+        if arc_alive t a then touch_label t a ~dirties:(code land 1 = 1))
+      t.pending_labels;
+    Vec.clear t.pending_labels;
+    (* OCaml frees a Bigarray's storage only when a major cycle sweeps
+       it, and paces cycles so that dead off-heap storage about as
+       large as the heap's own overhead may wait.  A structural step
+       drops a whole materialization off the heap and allocates little
+       on it, so left alone a stream of them raised the peak RSS of
+       [ocr stream] on a 4096-register circuit by about a quarter.
+       The cycle is finished here once the dropped words reach a
+       quarter of the heap, when the heap is at most 16
+       materializations: the cycle's work is then a few words per
+       dropped word, and a few times this refresh's own.  A process
+       whose heap dwarfs the session is left to the GC's pacing, in
+       which the session's garbage is a small share. *)
+    let heap = (Gc.quick_stat ()).Gc.heap_words in
+    if t.dropped * 4 >= heap && heap <= 16 * csr_words t.mat then begin
+      Gc.major ();
+      t.dropped <- 0
+    end;
+    if tr then Trace.end_span sp_rebuild
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
@@ -239,40 +525,15 @@ let bump t = t.ep <- t.ep + 1
    materialized id.  While the materialization is invalid there is no
    sum to keep: [rebuild_mat] recomputes it. *)
 let fp_term t a f =
-  if t.struct_valid then
-    f t.fp_sum ~arc:t.mat_of_session.(a) ~src:(Vec.get t.srcs a)
-      ~dst:(Vec.get t.dsts a) ~weight:(Vec.get t.weights a)
-      ~transit:(Vec.get t.transits a)
-
-(* Dirty the cyclic component containing live arc [a], updating the
-   materialized copies of its label in place.  O(1).  When one
-   component covers every node, Scc.partition hands back [t.mat]
-   itself as that part's [p_sub] with identity maps, so
-   [sub_idx.(a) = mat_of_session.(a)] and the second pair of writes
-   lands on the same arrays, at the same index, with the same value:
-   redundant, never inconsistent. *)
-let touch_label t a ~dirties =
-  if t.struct_valid then begin
-    let ma = t.mat_of_session.(a) in
-    let sg = sign t in
-    Digraph.Unsafe.set_weight t.mat ma (sg * Vec.get t.weights a);
-    Digraph.Unsafe.set_transit t.mat ma (Vec.get t.transits a);
-    let cu = t.comp_of_node.(Vec.get t.srcs a) in
-    if cu >= 0 && cu = t.comp_of_node.(Vec.get t.dsts a) then begin
-      let p = t.parts.(cu) in
-      let i = t.sub_idx.(a) in
-      Digraph.Unsafe.set_weight p.p_sub i (sg * Vec.get t.weights a);
-      Digraph.Unsafe.set_transit p.p_sub i (Vec.get t.transits a);
-      if dirties then p.p_dirty <- true
-    end
-  end
-  else if dirties then Vec.push t.pending_dirty a
+  if synced t then
+    f t.fp_sum ~arc:t.mat_of_session.{a} ~src:t.srcs.{a} ~dst:t.dsts.{a}
+      ~weight:t.weights.{a} ~transit:t.transits.{a}
 
 let set_weight t a w =
   check_arc "set_weight" t a;
-  let old = Vec.get t.weights a in
+  let old = t.weights.{a} in
   fp_term t a Fingerprint.sub;
-  Vec.set t.weights a w;
+  t.weights.{a} <- w;
   fp_term t a Fingerprint.add;
   bump t;
   if abs w >= t.wabs then begin
@@ -285,9 +546,9 @@ let set_weight t a w =
 let set_transit t a tt =
   check_arc "set_transit" t a;
   if tt < 0 then invalid_arg "Dyn.set_transit: negative transit time";
-  let old = Vec.get t.transits a in
+  let old = t.transits.{a} in
   fp_term t a Fingerprint.sub;
-  Vec.set t.transits a tt;
+  t.transits.{a} <- tt;
   fp_term t a Fingerprint.add;
   bump t;
   t.total_tt <- t.total_tt - old + tt;
@@ -300,11 +561,18 @@ let add_arc t ~src ~dst ~weight ~transit =
     invalid_arg "Dyn.add_arc: endpoint out of range";
   if transit < 0 then invalid_arg "Dyn.add_arc: negative transit time";
   let id = arc_count t in
-  Vec.push t.srcs src;
-  Vec.push t.dsts dst;
-  Vec.push t.weights weight;
-  Vec.push t.transits transit;
-  Vec.push t.alive true;
+  t.srcs <- grow t.srcs (id + 1);
+  t.dsts <- grow t.dsts (id + 1);
+  t.weights <- grow t.weights (id + 1);
+  t.transits <- grow t.transits (id + 1);
+  if id = Bytes.length t.alive then
+    t.alive <- Bytes.extend t.alive 0 (max 1 id);
+  t.srcs.{id} <- src;
+  t.dsts.{id} <- dst;
+  t.weights.{id} <- weight;
+  t.transits.{id} <- transit;
+  Bytes.set t.alive id '\001';
+  t.count <- id + 1;
   t.live <- t.live + 1;
   t.total_tt <- t.total_tt + transit;
   (* [wabs] is an upper bound when stale; a new arc at or above it
@@ -313,19 +581,22 @@ let add_arc t ~src ~dst ~weight ~transit =
     t.wabs <- abs weight;
     t.wabs_stale <- false
   end;
-  t.ratio_ok <- None;
-  t.struct_valid <- false;
+  (* an arc with positive transit closes no zero-transit cycle, and no
+     insertion opens one up *)
+  if transit = 0 && t.ratio_ok = Some true then t.ratio_ok <- None;
+  t.pending <- (match t.pending with Synced -> Added id | _ -> Stale);
   bump t;
   id
 
 let remove_arc t a =
   check_arc "remove_arc" t a;
-  Vec.set t.alive a false;
+  Bytes.set t.alive a '\000';
   t.live <- t.live - 1;
-  t.total_tt <- t.total_tt - Vec.get t.transits a;
-  if abs (Vec.get t.weights a) >= t.wabs then t.wabs_stale <- true;
-  t.ratio_ok <- None;
-  t.struct_valid <- false;
+  t.total_tt <- t.total_tt - t.transits.{a};
+  if abs t.weights.{a} >= t.wabs then t.wabs_stale <- true;
+  (* a removal cannot close a zero-transit cycle, only open one *)
+  if t.ratio_ok = Some false then t.ratio_ok <- None;
+  t.pending <- (match t.pending with Synced -> Removed a | _ -> Stale);
   bump t
 
 let apply t u =
@@ -349,8 +620,8 @@ let apply t u =
 let rescan_wabs t =
   let w = ref 0 in
   for a = 0 to arc_count t - 1 do
-    if Vec.get t.alive a && abs (Vec.get t.weights a) > !w then
-      w := abs (Vec.get t.weights a)
+    if arc_alive t a && abs t.weights.{a} > !w then
+      w := abs t.weights.{a}
   done;
   t.wabs <- !w;
   t.wabs_stale <- false
@@ -454,33 +725,38 @@ let query t =
 (* Snapshots, id mapping, fingerprints                                 *)
 (* ------------------------------------------------------------------ *)
 
-let graph t =
-  let b = Digraph.create_builder ~expected_arcs:t.live t.nn in
-  for a = 0 to arc_count t - 1 do
-    if Vec.get t.alive a then
-      ignore
-        (Digraph.add_arc b ~src:(Vec.get t.srcs a) ~dst:(Vec.get t.dsts a)
-           ~weight:(Vec.get t.weights a)
-           ~transit:(Vec.get t.transits a) ())
-  done;
-  Digraph.build b
+let graph t = fst (materialize t ~sg:1 ~index:false)
 
 let to_graph_arc t a =
   check_arc "to_graph_arc" t a;
   refresh t;
-  t.mat_of_session.(a)
+  t.mat_of_session.{a}
 
 let of_graph_arc t ma =
   refresh t;
   if ma < 0 || ma >= Digraph.m t.mat then
     invalid_arg "Dyn.of_graph_arc: arc out of range";
-  t.session_of_mat.(ma)
+  t.session_of_mat.{ma}
 
 (* O(1) after label edits: the sums follow every edit.  After a
    structural update it re-partitions, as the query it keys would. *)
 let fingerprint t =
   refresh t;
   Fingerprint.finish t.fp_sum ~n:t.nn ~m:t.live
+
+type partition = {
+  parts : (int array * int array * Digraph.t) array;
+  local_refreshes : int;
+  full_refreshes : int;
+}
+
+let partition t =
+  refresh t;
+  {
+    parts = Array.map (fun p -> (p.p_nodes, p.p_arcs, p.p_sub)) t.parts;
+    local_refreshes = t.local_refreshes;
+    full_refreshes = t.full_refreshes;
+  }
 
 let replay ?problem ?objective ?jobs ?pool g updates =
   let t = create ?problem ?objective ?jobs ?pool g in

@@ -14,10 +14,15 @@
       a label update adjusts it in O(1);
     - the {b SCC partition}, incrementally: label updates dirty only
       the containing cyclic component (cross-component arcs dirty
-      nothing), while structural updates — which may merge or split
-      components — lazily trigger one re-partition in which unchanged
-      components carry their cached optimum over, and changed ones
-      carry the optimum of the old component their first node was in;
+      nothing), while a structural update is settled lazily: one CSR
+      build, then, when the edit provably keeps every component
+      (an insertion inside one, a removal of an arc in none, or a
+      removal that leaves its component strongly connected), a
+      rebuild of the touched component alone; otherwise (a possible
+      merge or split, or several pending edits) one re-partition in
+      which unchanged components carry their cached optimum over, and
+      changed ones carry the optimum of the old component their first
+      node was in;
     - per-component {b hints}: a dirty component re-solves from its
       stale optimum λ.  One {!Critical.locate} at λ confirms it, or
       finishes from the better cycle it finds with
@@ -134,9 +139,30 @@ val fingerprint : t -> Fingerprint.t
     subtract the arc's old term and add its new one, so after label
     edits this call is O(1) and allocates only its result.
     [add_arc]/[remove_arc] renumber the snapshot's arcs; the next call
-    (or query) re-partitions, and that pass over the session's arcs
-    rebuilds the sums.  Lets engine front-ends key result caches and
+    (or query) refreshes the partition, and the pass over the
+    session's arcs that builds the new CSR rebuilds the sums.  Lets engine front-ends key result caches and
     count dynamic hits/misses. *)
+
+(** {1 Inspection} *)
+
+type partition = {
+  parts : (int array * int array * Digraph.t) array;
+      (** One entry per cyclic SCC, in component order: its session
+          node ids (increasing), its session arc ids (in its
+          subgraph's arc order), and its induced subgraph — renumbered
+          and ordered exactly as [Scc.partition] on {!graph} would
+          give it, with min-form weights (negated in a [Maximize]
+          session). *)
+  local_refreshes : int;
+      (** structural refreshes that rebuilt only the component the
+          edit touched *)
+  full_refreshes : int;  (** those that re-partitioned the whole graph *)
+}
+
+val partition : t -> partition
+(** The session's current partition, brought up to date first: for
+    inspection and tests.  The arrays and graphs are the session's
+    own; read them, never mutate them. *)
 
 (** {1 Replay} *)
 

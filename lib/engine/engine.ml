@@ -62,9 +62,6 @@ let create ?(jobs = 1) ?(cache_size = 256) ?(now = Unix.gettimeofday) () =
 
 let jobs t = Executor.jobs t.exec
 let pool t = t.exec
-let resize_cache t capacity =
-  Lru.resize t.cache capacity;
-  File_table.resize t.files capacity
 
 let telemetry t = t.tel
 

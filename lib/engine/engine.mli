@@ -71,9 +71,6 @@ val pool : t -> Executor.t
     (cluster workers run the batch engine and their sticky dyn
     sessions on one pool) so a process never oversubscribes domains. *)
 
-val resize_cache : t -> int -> unit
-(** Re-budget the result LRU in place ({!Lru.resize} semantics). *)
-
 val telemetry : t -> Telemetry.t
 (** The engine's counter store, cumulative over its lifetime; read it
     only from the thread driving {!solve} / {!run_batch}. *)

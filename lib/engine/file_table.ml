@@ -16,7 +16,6 @@ type t = (string, identity * Fingerprint.t) Lru.t
 let racy_window_s = 2.0
 
 let create ~capacity = Lru.create ~capacity
-let resize = Lru.resize
 let length = Lru.length
 
 (* the clock is read before the stat, so a write after the stat can

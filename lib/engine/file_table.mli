@@ -25,7 +25,6 @@ type stat
     taken at. *)
 
 val create : capacity:int -> t
-val resize : t -> int -> unit
 val length : t -> int
 
 val stat : string -> stat option

@@ -1,13 +1,6 @@
 type algorithm_choice = Auto | Fixed of Registry.algorithm | Exact
 
-let algorithm_choice_name = function
-  | Auto -> "auto"
-  | Fixed a -> Registry.name a
-  | Exact -> "exact"
-
 type mode = Float_answer | Exact_answer
-
-let mode_name = function Float_answer -> "float" | Exact_answer -> "exact"
 
 type spec = {
   path : string;

@@ -24,16 +24,12 @@ type algorithm_choice =
   | Fixed of Registry.algorithm
   | Exact  (** the exact lane: {!Newton}'s descent, unbudgeted *)
 
-val algorithm_choice_name : algorithm_choice -> string
-
 type mode =
   | Float_answer  (** the default: answer [lambda=] as a float *)
   | Exact_answer
       (** additionally answer the exact rational certificate
           [lambda_num=/lambda_den=], cross-checked against the witness
           cycle's integer sums ({!Verify.rational_certificate}) *)
-
-val mode_name : mode -> string
 
 type spec = {
   path : string;  (** graph file, or a label for in-memory requests *)

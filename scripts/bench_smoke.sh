@@ -51,7 +51,12 @@ gate --speedup bench-e14.json 4 1.2
 # most 2x the recorded ratio; BENCH_pr35.json gates E20 at the lean
 # load path (sentinel scanner, out-CSR only): its identical flags
 # strict and each load_ocr / load_gr row's speedup over the in-run
-# reference parser at least half the recorded one.
+# reference parser at least half the recorded one (re-recorded with
+# every timed layer starting from a collected heap); BENCH_pr39.json
+# gates E13 again with its structural-step rows (E13c): the components
+# the steps re-solved exactly, and each step's within-run step_ms /
+# reference_ms (a full re-partition of the same graph) at most 2x the
+# recorded ratio; their words per step are recorded, not gated.
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -66,7 +71,8 @@ gate \
   BENCH_pr31.json bench-e21.json \
   BENCH_pr33.json bench-e22.json \
   BENCH_pr34.json bench-e23.json \
-  BENCH_pr35.json bench-e20.json
+  BENCH_pr35.json bench-e20.json \
+  BENCH_pr39.json bench-e13.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)

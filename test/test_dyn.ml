@@ -548,3 +548,219 @@ let suite =
       Alcotest.test_case "heavy arc: one probe; witness cut: Newton" `Quick
         hint_then_newton;
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Structural steps: the local rebuild equals a full re-partition      *)
+(* ------------------------------------------------------------------ *)
+
+(* Tie-heavy graphs of several SCCs: [k] blocks of 2..4 nodes, each a
+   ring plus one chord, joined by one-way bridges, every weight in
+   0..2, so equal optima in different components are the rule and
+   component order decides which witness a query reports. *)
+let tie_graph rng =
+  let k = 2 + Rng.int rng 4 and size = 2 + Rng.int rng 3 in
+  let label () = (Rng.in_range rng 0 2, Rng.in_range rng 1 2) in
+  let arcs = ref [] in
+  let add u v =
+    let w, tt = label () in
+    arcs := (u, v, w, tt) :: !arcs
+  in
+  for b = 0 to k - 1 do
+    let base = b * size in
+    for i = 0 to size - 1 do
+      add (base + i) (base + ((i + 1) mod size))
+    done;
+    add (base + Rng.int rng size) (base + Rng.int rng size);
+    if b > 0 then add (base - 1) (base + Rng.int rng size)
+  done;
+  Digraph.of_arcs (k * size) (List.rev !arcs)
+
+(* The session's partition against Scc.partition of its snapshot, in
+   min form, with session arc ids through [of_graph_arc]: same
+   component order, node and arc arrays, and subgraphs. *)
+let partition_matches s =
+  let g = Dyn.graph s in
+  let g =
+    match Dyn.objective s with
+    | Solver.Minimize -> g
+    | Solver.Maximize -> Digraph.negate_weights g
+  in
+  let subs = Scc.partition g (Scc.compute g) in
+  let view = (Dyn.partition s).Dyn.parts in
+  Array.length subs = Array.length view
+  && Array.for_all2
+       (fun (sp : Scc.subproblem) (nodes, arcs, sub) ->
+         sp.Scc.node_of_sub = nodes
+         && Array.map (Dyn.of_graph_arc s) sp.Scc.arc_of_sub = arcs
+         && Digraph.equal_structure sp.Scc.sub sub)
+       subs view
+
+(* A structural step: an insertion inside a current component (the
+   local path), the removal of a live arc (local when it lies in no
+   component or leaves its component strongly connected), or an
+   insertion between two random nodes (often a merge, which
+   re-partitions).  Some steps add a label edit before the check, so
+   it lands while the partition is stale. *)
+let structural_script ~objective seed =
+  let rng = Rng.create seed in
+  let s = Dyn.create ~objective (tie_graph rng) in
+  let n = Dyn.n s in
+  let label () = (Rng.in_range rng 0 2, Rng.in_range rng 1 2) in
+  let insert src dst =
+    let weight, transit = label () in
+    ignore (Dyn.add_arc s ~src ~dst ~weight ~transit)
+  in
+  let ok = ref true and intra = ref 0 in
+  for _ = 1 to 40 do
+    let parts = (Dyn.partition s).Dyn.parts in
+    (match Rng.int rng 3 with
+    | 0 when Array.length parts > 0 ->
+      let nodes, _, _ = parts.(Rng.int rng (Array.length parts)) in
+      let pick () = nodes.(Rng.int rng (Array.length nodes)) in
+      incr intra;
+      insert (pick ()) (pick ())
+    | 1 -> (
+      match pick_live s rng with
+      | Some a -> Dyn.remove_arc s a
+      | None -> insert (Rng.int rng n) (Rng.int rng n))
+    | _ -> insert (Rng.int rng n) (Rng.int rng n));
+    (if Rng.int rng 4 = 0 then
+       match pick_live s rng with
+       | Some a -> Dyn.set_weight s a (Rng.in_range rng 0 2)
+       | None -> ());
+    ok :=
+      !ok && partition_matches s
+      && show_answer (cold_answer ~problem:Solver.Cycle_mean ~objective
+                        ~jobs:1 (Dyn.graph s))
+         = show_answer (session_answer s)
+  done;
+  let view = Dyn.partition s in
+  let local = view.Dyn.local_refreshes
+  and total = view.Dyn.local_refreshes + view.Dyn.full_refreshes in
+  Printf.printf "seed %d: %d of %d structural refreshes local (%d intra insertions)\n"
+    seed local total !intra;
+  (* every insertion inside a component takes the local path *)
+  !ok && local >= !intra
+
+let qcheck_structural_partition =
+  QCheck.Test.make
+    ~name:"dyn: local structural rebuilds = full re-partition (tie-heavy)"
+    ~count:40
+    QCheck.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, max) ->
+      structural_script
+        ~objective:(if max then Solver.Maximize else Solver.Minimize)
+        seed)
+
+(* ------------------------------------------------------------------ *)
+(* The dyn.rebuild span                                                *)
+(* ------------------------------------------------------------------ *)
+
+let traced f =
+  Trace.configure ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Trace.configure ())
+    (fun () ->
+      f ();
+      Trace.events ())
+
+(* begins and ends pair up as a stack, per domain *)
+let balanced evs =
+  let stacks = Hashtbl.create 4 in
+  List.for_all
+    (fun (e : Trace.event) ->
+      let st = Option.value (Hashtbl.find_opt stacks e.Trace.ev_dom) ~default:[] in
+      match e.Trace.ev_kind with
+      | `Begin ->
+        Hashtbl.replace stacks e.Trace.ev_dom (e.Trace.ev_id :: st);
+        true
+      | `End -> (
+        match st with
+        | id :: rest when id = e.Trace.ev_id ->
+          Hashtbl.replace stacks e.Trace.ev_dom rest;
+          true
+        | _ -> false)
+      | `Instant | `Counter -> true)
+    evs
+  && Hashtbl.fold (fun _ st acc -> acc && st = []) stacks true
+
+let rebuild_span () =
+  let sp = Obs.intern "dyn.rebuild" in
+  let rebuilds evs =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) -> e.Trace.ev_kind = `Begin && e.Trace.ev_id = sp)
+         evs)
+  in
+  let g = Circuit.generate ~seed:3 ~registers:256 () in
+  let s = Dyn.create ~objective:Solver.Maximize g in
+  ignore (Dyn.query s);
+  let label =
+    traced (fun () ->
+        Dyn.set_weight s 0 7;
+        ignore (Dyn.query s))
+  in
+  let structural =
+    traced (fun () ->
+        ignore (Dyn.add_arc s ~src:0 ~dst:1 ~weight:5 ~transit:1);
+        ignore (Dyn.query s))
+  in
+  Alcotest.(check int) "label edit + query: no dyn.rebuild" 0 (rebuilds label);
+  Alcotest.(check int) "add_arc + query: one dyn.rebuild" 1 (rebuilds structural);
+  Alcotest.(check bool) "label trace balanced" true (balanced label);
+  Alcotest.(check bool) "structural trace balanced" true (balanced structural)
+
+(* ------------------------------------------------------------------ *)
+(* Zero-transit cycles across structural edits                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A ratio session keeps its well-posedness verdict across a removal
+   and across an insertion with positive transit; an insertion with
+   zero transit or a removal from an ill-posed graph asks again.  The
+   message stays Solver's, and the cure is seen. *)
+let zero_transit_structural () =
+  let g = Digraph.of_arcs 3 [ (0, 1, 1, 1); (1, 0, 1, 1); (1, 2, 4, 1) ] in
+  let s = Dyn.create ~problem:Solver.Cycle_ratio g in
+  let check what =
+    let want =
+      show_answer
+        (cold_answer ~problem:Solver.Cycle_ratio ~objective:Solver.Minimize
+           ~jobs:1 (Dyn.graph s))
+    in
+    Alcotest.(check string) what want (show_answer (session_answer s))
+  in
+  let ill what =
+    check what;
+    Alcotest.(check bool) (what ^ ": ill-posed") true
+      (String.length (show_answer (session_answer s)) > 6
+      && String.sub (show_answer (session_answer s)) 0 6 = "error:")
+  in
+  check "well-posed";
+  let loop = Dyn.add_arc s ~src:2 ~dst:2 ~weight:3 ~transit:0 in
+  ill "zero-transit self-loop inserted";
+  Dyn.remove_arc s loop;
+  check "self-loop removed: cured";
+  let back = Dyn.add_arc s ~src:2 ~dst:1 ~weight:1 ~transit:2 in
+  check "positive-transit insertion";
+  let fwd = Dyn.add_arc s ~src:1 ~dst:2 ~weight:1 ~transit:0 in
+  check "one zero-transit arc closes no zero-transit cycle";
+  let back0 = Dyn.add_arc s ~src:2 ~dst:1 ~weight:1 ~transit:0 in
+  ill "two zero-transit arcs close one";
+  Dyn.remove_arc s back;
+  ill "removing another arc keeps it ill-posed";
+  Dyn.remove_arc s fwd;
+  check "zero-transit cycle broken: cured";
+  ignore back0
+
+let suite =
+  suite
+  @ Helpers.qtests [ qcheck_structural_partition ]
+  @ [
+      Alcotest.test_case "dyn.rebuild spans structural steps only" `Quick
+        rebuild_span;
+      Alcotest.test_case "zero-transit ratio: structural edits, then cured"
+        `Quick zero_transit_structural;
+    ]
