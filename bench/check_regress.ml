@@ -19,9 +19,12 @@
    and the within-run time ratios E21's "newton_over_howard", E22's
    "potentials_over_certify", E23's "workspace_over_fresh" and E13c's
    "step_over_reference" (both sides timed in the same run, so the
-   host cancels) may grow at most 2x, and E20's loader rows (workload load_ocr / load_gr) must keep
-   their "speedup" over the in-run reference parser at least half its
-   baseline.  What *is* gated hard, with no
+   host cancels) may grow at most 2x, E20's loader rows (workload
+   load_ocr / load_gr) must keep their "speedup" over the in-run
+   reference parser at least half its baseline, and E13c's
+   "major_words" per step (a count that does not depend on the host)
+   may be at most 1.25x its baseline plus 32 words.  What *is* gated
+   hard, with no
    tolerance, is every "identical", "exact_matches_float" and
    "access_complete" flag in the current file: the first encodes the
    determinism guarantee (parallel report bit-equal to jobs=1), the
@@ -155,6 +158,16 @@ let ratio_factor = 2.0
    sub-microsecond dyn_fingerprint rows divide by a timer-resolution
    denominator and would trip on noise. *)
 let gated_speedup_rows = [ "workload=load_ocr"; "workload=load_gr" ]
+
+(* Words a step allocates on the major heap (E13c's "major_words", the
+   mean over its steps) are counted, not timed, so they gate tighter
+   than time: at most [words_factor] times the baseline, not exactly,
+   since CI's OCaml versions may allocate differently, plus
+   [words_slack] words, so that a row whose baseline is zero does not
+   fail on one block promoted by a minor collection that falls inside
+   a step.  A step that copies a graph allocates thousands. *)
+let words_factor = 1.25
+let words_slack = 32.0
 
 let failures = ref 0
 let warnings = ref 0
@@ -292,6 +305,12 @@ let check_pair ~baseline ~current =
         let limit = ratio_factor *. b in
         let report c =
           Printf.sprintf "%.4f (baseline %.4f, limit %.4f)" c b limit
+        in
+        against path ~ok:(fun c -> c <= limit) ~pass:report ~fail:report
+      | Num b when leaf_name path = "major_words" ->
+        let limit = (words_factor *. b) +. words_slack in
+        let report c =
+          Printf.sprintf "%.0f words (baseline %.0f, limit %.0f)" c b limit
         in
         against path ~ok:(fun c -> c <= limit) ~pass:report ~fail:report
       | Num b

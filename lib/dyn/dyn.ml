@@ -17,7 +17,10 @@ type report = {
    min-form weights (negated for Maximize sessions) and is mutated in
    place on label updates, so a clean component's cached [p_result]
    always describes its current labels.  A dirty component's
-   [p_result] is stale: only its λ is read, as the re-solve's hint. *)
+   [p_result] is stale: only its λ is read, as the re-solve's hint.
+   A part covering every node is the materialization itself: [p_sub]
+   is [mat], and its arcs are [mat]'s, so it keeps no [p_arcs] (see
+   [covers] and [arc_of]). *)
 type part = {
   p_nodes : int array; (* session node ids, increasing *)
   p_arcs : int array;  (* session arc ids, in sub arc order *)
@@ -69,8 +72,21 @@ type t = {
      than [arc_count] and [live]. *)
   mutable pending : pending;
   mutable mat : Digraph.t;
+  (* [mat]'s storage, owned by the session and refilled in place by
+     every rebuild: four label buffers and the out-CSR's arc buffer of
+     equal capacity, grown with an eighth of headroom, and the n + 1
+     CSR starts.  [mat] is a view of their first [live] entries. *)
+  mutable buf_src : ints;
+  mutable buf_dst : ints;
+  mutable buf_weight : ints;
+  mutable buf_transit : ints;
+  mutable buf_out : ints;
+  buf_start : ints;
   mutable mat_of_session : ints;  (* session arc -> mat arc | -1 *)
   mutable session_of_mat : ints;
+  (* [arc_count] and [live] when [refresh] last finished *)
+  mutable count_synced : int;
+  mutable live_synced : int;
   mutable parts : part array;         (* component (rev. topo) order *)
   mutable comp_of_node : int array;   (* node -> part index | -1 *)
   mutable sub_idx : ints;        (* intra-part session arc -> sub arc *)
@@ -83,6 +99,9 @@ type t = {
   (* off-heap words of this session's graphs dropped since [refresh]
      last finished a major cycle *)
   mutable dropped : int;
+  (* structural refreshes since [refresh] last finished a major
+     cycle *)
+  mutable since_cycle : int;
   (* fingerprint lane sums over the live arcs at their materialized
      ids, with user-form weights; valid with the materialization *)
   mutable fp_sum : Fingerprint.sum;
@@ -102,6 +121,14 @@ let grow (a : ints) len =
     Bigarray.Array1.blit a (Bigarray.Array1.sub b 0 k);
     b
   end
+
+(* [a] itself when it holds at least [len] entries, else a fresh
+   buffer with an eighth of headroom, unset: for buffers that every
+   rebuild refills. *)
+let reserve (a : ints) len =
+  if Bigarray.Array1.dim a >= len then a else ia (len + (len / 8))
+
+let view (a : ints) len = Bigarray.Array1.sub a 0 len
 
 let sign t = match t.obj with Solver.Minimize -> 1 | Solver.Maximize -> -1
 
@@ -145,8 +172,16 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     ratio_ok = None;
     pending = Stale;
     mat = g;
+    buf_src = ia 0;
+    buf_dst = ia 0;
+    buf_weight = ia 0;
+    buf_transit = ia 0;
+    buf_out = ia 0;
+    buf_start = ia (Digraph.n g + 1);
     mat_of_session = ia 0;
     session_of_mat = ia 0;
+    count_synced = 0;
+    live_synced = -1;
     parts = [||];
     comp_of_node = Array.make (Digraph.n g) (-1);
     sub_idx = ia 0;
@@ -155,6 +190,7 @@ let create ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize)
     local_refreshes = 0;
     full_refreshes = 0;
     dropped = 0;
+    since_cycle = 0;
     fp_sum = Fingerprint.zero ();
     last_report = None;
   }
@@ -191,19 +227,14 @@ let arc_alive t a = a >= 0 && a < arc_count t && Bytes.get t.alive a <> '\000'
 (* ------------------------------------------------------------------ *)
 
 (* The one materializer: the live session arcs, in session-id order,
-   as a CSR built around four fresh label arrays, weights multiplied
-   by [sg].  With [index] the same loop also refills the id maps and
-   returns the fingerprint lane sums (user-form weights, keyed by
-   materialized id). *)
-let materialize t ~sg ~index =
-  let count = arc_count t and m = t.live in
-  let arc_src = ia m and arc_dst = ia m in
-  let arc_weight = ia m and arc_transit = ia m in
+   written to the first [live] entries of the four label arrays,
+   weights multiplied by [sg].  With [index] the same loop also
+   refills the id maps and returns the fingerprint lane sums
+   (user-form weights, keyed by materialized id). *)
+let materialize t ~sg ~index ~(arc_src : ints) ~(arc_dst : ints)
+    ~(arc_weight : ints) ~(arc_transit : ints) =
+  let count = arc_count t in
   let sum = Fingerprint.zero () in
-  if index then begin
-    t.mat_of_session <- grow t.mat_of_session count;
-    t.session_of_mat <- grow t.session_of_mat m
-  end;
   let mos = t.mat_of_session and som = t.session_of_mat in
   let alive = t.alive and srcs = t.srcs and dsts = t.dsts in
   let weights = t.weights and transits = t.transits in
@@ -226,26 +257,47 @@ let materialize t ~sg ~index =
     end
     else if index then mos.{a} <- -1
   done;
-  ( Digraph.Unsafe.of_label_arrays ~n:t.nn ~m ~arc_src ~arc_dst ~arc_weight
-      ~arc_transit,
-    sum )
+  sum
 
 (* The off-heap words of a graph: four label arrays and the CSR. *)
 let csr_words g = (5 * Digraph.m g) + Digraph.n g + 1
 
-(* Counts a replaced part's subgraph as dropped; one covering every
-   node was the materialization, which [rebuild_mat] counts. *)
-let drop_part t p =
-  if Array.length p.p_nodes < t.nn then
-    t.dropped <- t.dropped + csr_words p.p_sub
+(* Whether part [p] covers every node.  Such a part holds every live
+   arc, so every structural edit touches it, and it is the
+   materialization itself, as Scc.partition hands it back. *)
+let covers t p = Array.length p.p_nodes = t.nn
 
+(* Session arc of part [p]'s sub arc [i]. *)
+let arc_of t p i = if covers t p then t.session_of_mat.{i} else p.p_arcs.(i)
+
+(* Counts a replaced part's subgraph as dropped; one covering every
+   node lives in the session's own buffers. *)
+let drop_part t p =
+  if not (covers t p) then t.dropped <- t.dropped + csr_words p.p_sub
+
+(* Refills [mat] in the session's buffers, growing them first when the
+   live arcs outgrew them. *)
 let rebuild_mat t =
-  (* the first materialization replaces the caller's graph *)
-  if t.local_refreshes + t.full_refreshes > 0 then
-    t.dropped <- t.dropped + csr_words t.mat;
-  let mat, sum = materialize t ~sg:(sign t) ~index:true in
-  t.mat <- mat;
-  t.fp_sum <- sum
+  let m = t.live in
+  if m > Bigarray.Array1.dim t.buf_out then begin
+    t.dropped <- t.dropped + (5 * Bigarray.Array1.dim t.buf_out);
+    t.buf_src <- reserve t.buf_src m;
+    t.buf_dst <- reserve t.buf_dst m;
+    t.buf_weight <- reserve t.buf_weight m;
+    t.buf_transit <- reserve t.buf_transit m;
+    t.buf_out <- reserve t.buf_out m
+  end;
+  t.mat_of_session <- grow t.mat_of_session (arc_count t);
+  t.session_of_mat <- reserve t.session_of_mat m;
+  let arc_src = view t.buf_src m and arc_dst = view t.buf_dst m in
+  let arc_weight = view t.buf_weight m and arc_transit = view t.buf_transit m in
+  t.fp_sum <-
+    materialize t ~sg:(sign t) ~index:true ~arc_src ~arc_dst ~arc_weight
+      ~arc_transit;
+  t.mat <-
+    Digraph.Unsafe.of_label_arrays_into ~n:t.nn ~m ~arc_src ~arc_dst
+      ~arc_weight ~arc_transit ~out_start:t.buf_start
+      ~out_arcs:(view t.buf_out m)
 
 let same_ints (a : int array) (b : int array) =
   let k = Array.length a in
@@ -253,6 +305,14 @@ let same_ints (a : int array) (b : int array) =
   &&
   let rec go i = i = k || (a.(i) = b.(i) && go (i + 1)) in
   go 0
+
+(* Whether the live arcs are those [refresh] last left: as many, and
+   none inserted since alive (arcs that were live can only die). *)
+let live_unchanged t =
+  t.live = t.live_synced
+  &&
+  let rec go a = a >= arc_count t || ((not (arc_alive t a)) && go (a + 1)) in
+  go t.count_synced
 
 (* Full re-partition of the (already rebuilt) materialization, along
    its components [scc].  Components whose node set and (session-id)
@@ -272,7 +332,8 @@ let repartition t scc =
       (fun ci (sp : Scc.subproblem) ->
         let p_nodes = sp.Scc.node_of_sub in
         let p_arcs =
-          Array.map (fun ma -> t.session_of_mat.{ma}) sp.Scc.arc_of_sub
+          if Array.length p_nodes = t.nn then [||]
+          else Array.map (fun ma -> t.session_of_mat.{ma}) sp.Scc.arc_of_sub
         in
         Array.iteri
           (fun i u ->
@@ -286,7 +347,12 @@ let repartition t scc =
           if oc >= 0 then Some old_parts.(oc) else None
         in
         match old with
-        | Some op when same_ints op.p_nodes p_nodes && same_ints op.p_arcs p_arcs ->
+        | Some op
+          when same_ints op.p_nodes p_nodes
+               && (* a part covering every node holds every live arc,
+                     and its arc map was rebuilt in place *)
+               if covers t op then live_unchanged t
+               else same_ints op.p_arcs p_arcs ->
           { p_nodes; p_arcs; p_sub = sp.Scc.sub; p_dirty = op.p_dirty;
             p_result = op.p_result }
         | _ ->
@@ -308,39 +374,40 @@ let part_of_arc t a =
    in the renumbering and arc order Scc.partition gives: the nodes
    keep their indices, and the arcs come in increasing session id —
    an inserted arc has the largest, so it comes last.  A part covering
-   every node is [t.mat] itself, as Scc.partition hands it back.
-   Rewrites [sub_idx] from the edit on; the part is dirty and keeps
-   its own result as the hint. *)
+   every node is the rebuilt materialization, and allocates nothing in
+   proportion to it.  Another gets a fresh subgraph and arc map, and
+   [sub_idx] is rewritten from the edit on.  The part is dirty and
+   keeps its own result as the hint. *)
 let edited_part t (p : part) a ~added =
-  let k = Array.length p.p_arcs in
-  let arcs, from =
-    if added then (Array.append p.p_arcs [| a |], k)
-    else begin
-      let i = t.sub_idx.{a} in
-      (Array.append (Array.sub p.p_arcs 0 i)
-         (Array.sub p.p_arcs (i + 1) (k - i - 1)), i)
-    end
-  in
-  for i = from to Array.length arcs - 1 do
-    t.sub_idx.{arcs.(i)} <- i
-  done;
-  let sub =
-    if Array.length p.p_nodes = t.nn then t.mat
-    else begin
-      let m = Array.length arcs and sg = sign t in
-      let srcs = ia m and dsts = ia m and ws = ia m and ts = ia m in
-      Array.iteri
-        (fun i a ->
-          srcs.{i} <- t.local_of_node.(t.srcs.{a});
-          dsts.{i} <- t.local_of_node.(t.dsts.{a});
-          ws.{i} <- sg * t.weights.{a};
-          ts.{i} <- t.transits.{a})
-        arcs;
+  if covers t p then { p with p_sub = t.mat; p_dirty = true }
+  else begin
+    let k = Array.length p.p_arcs in
+    let arcs, from =
+      if added then (Array.append p.p_arcs [| a |], k)
+      else begin
+        let i = t.sub_idx.{a} in
+        (Array.append (Array.sub p.p_arcs 0 i)
+           (Array.sub p.p_arcs (i + 1) (k - i - 1)), i)
+      end
+    in
+    for i = from to Array.length arcs - 1 do
+      t.sub_idx.{arcs.(i)} <- i
+    done;
+    let m = Array.length arcs and sg = sign t in
+    let srcs = ia m and dsts = ia m and ws = ia m and ts = ia m in
+    Array.iteri
+      (fun i a ->
+        srcs.{i} <- t.local_of_node.(t.srcs.{a});
+        dsts.{i} <- t.local_of_node.(t.dsts.{a});
+        ws.{i} <- sg * t.weights.{a};
+        ts.{i} <- t.transits.{a})
+      arcs;
+    let sub =
       Digraph.Unsafe.of_label_arrays ~n:(Array.length p.p_nodes) ~m
         ~arc_src:srcs ~arc_dst:dsts ~arc_weight:ws ~arc_transit:ts
-    end
-  in
-  { p with p_arcs = arcs; p_sub = sub; p_dirty = true }
+    in
+    { p with p_arcs = arcs; p_sub = sub; p_dirty = true }
+  end
 
 (* Whether [v] is reachable from [u] in [g]: a breadth-first search
    over the CSR, in this domain's probe workspace, that stops at [v]. *)
@@ -445,12 +512,9 @@ let refresh_locally t =
 let synced t = match t.pending with Synced -> true | _ -> false
 
 (* Dirty the cyclic component containing live arc [a], updating the
-   materialized copies of its label in place.  O(1).  When one
-   component covers every node, Scc.partition hands back [t.mat]
-   itself as that part's [p_sub] with identity maps, so
-   [sub_idx.{a} = mat_of_session.{a}] and the second pair of writes
-   lands on the same arrays, at the same index, with the same value:
-   redundant, never inconsistent. *)
+   materialized copies of its label in place.  O(1).  A part covering
+   every node is [t.mat] itself, so the first pair of writes covers
+   it, and its [sub_idx] entries are not kept. *)
 let touch_label t a ~dirties =
   if synced t then begin
     let ma = t.mat_of_session.{a} in
@@ -460,22 +524,42 @@ let touch_label t a ~dirties =
     let cu = part_of_arc t a in
     if cu >= 0 then begin
       let p = t.parts.(cu) in
-      let i = t.sub_idx.{a} in
-      Digraph.Unsafe.set_weight p.p_sub i (sg * t.weights.{a});
-      Digraph.Unsafe.set_transit p.p_sub i t.transits.{a};
+      if not (covers t p) then begin
+        let i = t.sub_idx.{a} in
+        Digraph.Unsafe.set_weight p.p_sub i (sg * t.weights.{a});
+        Digraph.Unsafe.set_transit p.p_sub i t.transits.{a}
+      end;
       if dirties then p.p_dirty <- true
     end
   end
   else Vec.push t.pending_labels ((a lsl 1) lor Bool.to_int dirties)
 
+(* [refresh] finishes the major GC cycle once per this many structural
+   refreshes, and collects the minor heap at every one.  A structural
+   step rebuilds the session's graph in its own buffers, so a step
+   whose component covers every node leaves no graph behind, only the
+   garbage of its query and of the protocol around it (witness lists,
+   replies, cache entries): about 1,500 minor words a step.  Left to
+   the GC, that let [ocr stream] on a 4096-register circuit grow its
+   major heap from 165k to 310k words, and its resident minor heap
+   from about 640 KB to all 2 MB of it, since every page the minor
+   heap's allocation has swept stays resident.  A minor collection per
+   structural refresh (every seven steps or so there) and a major
+   cycle (about 0.16 ms there) per 16 held the peak RSS 1.6 MB under
+   what a major cycle per refresh gave.  A major cycle per 8 would
+   come every 50 steps or so, in 2% of them: more than the 1% beyond
+   the p99. *)
+let cycle_every = 16
+
 (* [refresh]'s work, once per structural step that a query or a
    fingerprint settles (docs/OBS.md). *)
 let sp_rebuild = Obs.intern "dyn.rebuild"
 
-(* Brings the materialization and the partition up to date: one CSR
-   build over the arc store, then the local path or a full
-   re-partition, then the label edits made meanwhile land in place as
-   they would have on a current partition. *)
+(* Brings the materialization and the partition up to date: one
+   rebuild of the materialization in the session's buffers, then the
+   local path or a full re-partition, then the label edits made
+   meanwhile land in place as they would have on a current
+   partition. *)
 let refresh t =
   if not (synced t) then begin
     let tr = !Obs.enabled_flag in
@@ -489,28 +573,31 @@ let refresh t =
       repartition t
         (match scc with Some scc -> scc | None -> Scc.compute t.mat));
     t.pending <- Synced;
+    t.count_synced <- arc_count t;
+    t.live_synced <- t.live;
     Vec.iter
       (fun code ->
         let a = code lsr 1 in
         if arc_alive t a then touch_label t a ~dirties:(code land 1 = 1))
       t.pending_labels;
     Vec.clear t.pending_labels;
-    (* OCaml frees a Bigarray's storage only when a major cycle sweeps
-       it, and paces cycles so that dead off-heap storage about as
-       large as the heap's own overhead may wait.  A structural step
-       drops a whole materialization off the heap and allocates little
-       on it, so left alone a stream of them raised the peak RSS of
-       [ocr stream] on a 4096-register circuit by about a quarter.
-       The cycle is finished here once the dropped words reach a
-       quarter of the heap, when the heap is at most 16
-       materializations: the cycle's work is then a few words per
-       dropped word, and a few times this refresh's own.  A process
-       whose heap dwarfs the session is left to the GC's pacing, in
-       which the session's garbage is a small share. *)
+    (* The one collection rule: a minor collection, and a major cycle
+       every [cycle_every] structural refreshes or once the subgraphs
+       of other parts this session dropped off the heap reach a
+       quarter of it, since OCaml frees a Bigarray's storage only when
+       a major cycle sweeps it.  It applies when the heap is at most 16
+       materializations; a process whose heap dwarfs the session is
+       left to the GC's pacing, in which the session's garbage is a
+       small share. *)
     let heap = (Gc.quick_stat ()).Gc.heap_words in
-    if t.dropped * 4 >= heap && heap <= 16 * csr_words t.mat then begin
-      Gc.major ();
-      t.dropped <- 0
+    if heap <= 16 * csr_words t.mat then begin
+      t.since_cycle <- t.since_cycle + 1;
+      if t.since_cycle >= cycle_every || t.dropped * 4 >= heap then begin
+        Gc.major ();
+        t.dropped <- 0;
+        t.since_cycle <- 0
+      end
+      else Gc.minor ()
     end;
     if tr then Trace.end_span sp_rebuild
   end
@@ -675,7 +762,7 @@ let solve_part t (p : part) =
       | Critical.Above c -> Critical.improve_to_optimal ~stats:st ~den g c
       | Critical.Below -> descend ())
   in
-  (lambda, List.map (fun i -> p.p_arcs.(i)) cyc, st)
+  (lambda, List.map (arc_of t p) cyc, st)
 
 let query t =
   match t.last_report with
@@ -725,7 +812,15 @@ let query t =
 (* Snapshots, id mapping, fingerprints                                 *)
 (* ------------------------------------------------------------------ *)
 
-let graph t = fst (materialize t ~sg:1 ~index:false)
+let graph t =
+  let m = t.live in
+  let arc_src = ia m and arc_dst = ia m in
+  let arc_weight = ia m and arc_transit = ia m in
+  ignore
+    (materialize t ~sg:1 ~index:false ~arc_src ~arc_dst ~arc_weight
+       ~arc_transit);
+  Digraph.Unsafe.of_label_arrays ~n:t.nn ~m ~arc_src ~arc_dst ~arc_weight
+    ~arc_transit
 
 let to_graph_arc t a =
   check_arc "to_graph_arc" t a;
@@ -753,7 +848,13 @@ type partition = {
 let partition t =
   refresh t;
   {
-    parts = Array.map (fun p -> (p.p_nodes, p.p_arcs, p.p_sub)) t.parts;
+    parts =
+      Array.map
+        (fun p ->
+          ( p.p_nodes,
+            Array.init (Digraph.m p.p_sub) (arc_of t p),
+            p.p_sub ))
+        t.parts;
     local_refreshes = t.local_refreshes;
     full_refreshes = t.full_refreshes;
   }

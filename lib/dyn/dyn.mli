@@ -14,8 +14,9 @@
       a label update adjusts it in O(1);
     - the {b SCC partition}, incrementally: label updates dirty only
       the containing cyclic component (cross-component arcs dirty
-      nothing), while a structural update is settled lazily: one CSR
-      build, then, when the edit provably keeps every component
+      nothing), while a structural update is settled lazily: one
+      rebuild of the session's graph in buffers the session owns and
+      reuses, then, when the edit provably keeps every component
       (an insertion inside one, a removal of an arc in none, or a
       removal that leaves its component strongly connected), a
       rebuild of the touched component alone; otherwise (a possible
@@ -161,8 +162,12 @@ type partition = {
 
 val partition : t -> partition
 (** The session's current partition, brought up to date first: for
-    inspection and tests.  The arrays and graphs are the session's
-    own; read them, never mutate them. *)
+    inspection and tests.  The node arrays and graphs are the
+    session's own; read them, never mutate them.  The graphs are valid
+    only until the next update: a component covering every node is
+    the session's graph itself, which label updates rewrite and the
+    refresh after a structural update rebuilds in place.  Take
+    {!graph} for a snapshot that lasts. *)
 
 (** {1 Replay} *)
 

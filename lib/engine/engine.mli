@@ -80,8 +80,8 @@ val metrics_snapshot : t -> Metrics.t
     cumulative counters, the [ocr_solve_latency_ms] histogram (always
     recorded, independent of the tracing switch) and the per-algorithm
     series — then the executor pool-health sample.  Export with
-    {!Metrics.to_prometheus} or {!Metrics.pp_summary}; call it from the
-    coordinator thread only. *)
+    {!Metrics.to_prometheus}; call it from the coordinator thread
+    only. *)
 
 val solve : t -> Request.t -> response
 (** Serve one request: probe the cache (re-certifying the hit against

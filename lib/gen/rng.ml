@@ -34,5 +34,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- x
   done
-
-let split t = { state = next64 t }

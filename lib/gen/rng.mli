@@ -26,6 +26,3 @@ val float : t -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)
-
-val split : t -> t
-(** Independent child generator (advances the parent). *)

@@ -73,13 +73,13 @@ let ia_init len f =
   a
 
 (* The CSR over [key] (one endpoint per arc: the tails for the graph,
-   the heads for its reverse) by a stable counting sort: the arcs of
-   each node appear in increasing id order.  [start] doubles
-   as the fill cursor — after the fill, [start.{k}] has advanced to the
-   end of node k's run, which is where node k+1's starts, so one shift
-   restores it and no cursor array is allocated. *)
-let csr n m (key : int_array1) =
-  let start = ia (n + 1) in
+   the heads for its reverse) by a stable counting sort into [start]
+   (n + 1 entries) and [arcs] (m entries): the arcs of each node
+   appear in increasing id order.  [start] doubles as the fill cursor
+   — after the fill, [start.{k}] has advanced to the end of node k's
+   run, which is where node k+1's starts, so one shift restores it and
+   no cursor array is allocated. *)
+let csr_into n m (key : int_array1) (start : int_array1) (arcs : int_array1) =
   Bigarray.Array1.fill start 0;
   for a = 0 to m - 1 do
     let k = key.{a} + 1 in
@@ -88,7 +88,6 @@ let csr n m (key : int_array1) =
   for v = 1 to n do
     start.{v} <- start.{v} + start.{v - 1}
   done;
-  let arcs = ia m in
   for a = 0 to m - 1 do
     let k = key.{a} in
     let i = start.{k} in
@@ -98,11 +97,20 @@ let csr n m (key : int_array1) =
   for v = n downto 1 do
     start.{v} <- start.{v - 1}
   done;
-  start.{0} <- 0;
+  start.{0} <- 0
+
+let csr n m key =
+  let start = ia (n + 1) and arcs = ia m in
+  csr_into n m key start arcs;
   (start, arcs)
 
 let of_label_arrays ~n ~m ~arc_src ~arc_dst ~arc_weight ~arc_transit =
   let out_start, out_arcs = csr n m arc_src in
+  { n; m; arc_src; arc_dst; arc_weight; arc_transit; out_start; out_arcs }
+
+let of_label_arrays_into ~n ~m ~arc_src ~arc_dst ~arc_weight ~arc_transit
+    ~out_start ~out_arcs =
+  csr_into n m arc_src out_start out_arcs;
   { n; m; arc_src; arc_dst; arc_weight; arc_transit; out_start; out_arcs }
 
 let build b =
@@ -207,6 +215,7 @@ module Unsafe = struct
   let weights g = g.arc_weight
   let transits g = g.arc_transit
   let of_label_arrays = of_label_arrays
+  let of_label_arrays_into = of_label_arrays_into
 end
 
 let induced g nodes =
@@ -333,10 +342,3 @@ let equal_structure g h =
   g.n = h.n && g.m = h.m
   && g.arc_src = h.arc_src && g.arc_dst = h.arc_dst
   && g.arc_weight = h.arc_weight && g.arc_transit = h.arc_transit
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph: %d nodes, %d arcs" g.n g.m;
-  iter_arcs g (fun a ->
-      Format.fprintf ppf "@,  #%d: %d -> %d  w=%d t=%d" a g.arc_src.{a}
-        g.arc_dst.{a} g.arc_weight.{a} g.arc_transit.{a});
-  Format.fprintf ppf "@]"

@@ -149,6 +149,18 @@ module Unsafe : sig
       checked: every endpoint must lie in [0 .. n-1] and every transit
       time must be non-negative.  For loaders that validate while they
       fill ([Graph_io]); everyone else uses a {!builder}. *)
+
+  val of_label_arrays_into :
+    n:int -> m:int -> arc_src:int_array1 -> arc_dst:int_array1 ->
+    arc_weight:int_array1 -> arc_transit:int_array1 ->
+    out_start:int_array1 -> out_arcs:int_array1 -> t
+  (** Like {!of_label_arrays}, but writes the out-CSR into
+      [out_start] ([n + 1] entries) and [out_arcs] ([m] entries),
+      arrays the caller owns, and allocates no storage.  The graph is
+      a view of all six arrays: a caller that refills them rebuilds it
+      in place, and every graph built over them before then is
+      invalid.  For owners that rebuild one graph many times
+      ([Dyn]). *)
 end
 
 val induced : t -> int list -> t * int array * int array
@@ -190,6 +202,3 @@ val cycle_transit : t -> int list -> int
 
 val equal_structure : t -> t -> bool
 (** Same node count and identical (src, dst, weight, transit) per arc id. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: one line per arc. *)

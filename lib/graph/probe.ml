@@ -42,11 +42,13 @@ let create () =
     borrowed = false;
   }
 
-(* Grow-only, to exactly the largest size asked for so far: a smaller
-   graph reuses the buffers as they are, and every user writes what it
-   reads first. *)
+(* Grow-only, to the largest size asked for so far plus 1/8: a smaller
+   graph reuses the buffers as they are, a session that inserts one arc
+   at a time regrows once per eighth rather than on every insertion,
+   and every user writes what it reads first. *)
 let grow ws ~n ~m =
   if n > ws.node_cap then begin
+    let n = n + (n / 8) in
     ws.node_cap <- n;
     ws.ring <- ia (n + 1);
     ws.in_queue <-
@@ -62,6 +64,7 @@ let grow ws ~n ~m =
     ws.frame_cursor <- ia n
   end;
   if m > ws.arc_cap then begin
+    let m = m + (m / 8) in
     ws.arc_cap <- m;
     ws.costs <- ia m
   end

@@ -6,8 +6,10 @@
     m-int cost arrays, the engine's n-arrays and the DFS stacks live
     here as Bigarrays (GC-invisible, like [Howard.scratch]) held in
     [Domain.DLS], grown to the largest graph or component borrowed for
-    so far and never shrunk, so a probe on a graph no larger than one
-    already seen allocates nothing for them.
+    so far plus an eighth and never shrunk, so a probe on a graph no
+    larger than one already seen allocates nothing for them, and a
+    component that gains one arc at a time regrows them once per
+    eighth.
 
     A workspace is borrowed for the extent of one call ({!borrow});
     only the functions documented as taking a borrowed workspace touch

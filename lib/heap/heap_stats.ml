@@ -25,12 +25,6 @@ let add acc x =
   acc.deletes <- acc.deletes + x.deletes;
   acc.melds <- acc.melds + x.melds
 
-let merge a b =
-  let t = create () in
-  add t a;
-  add t b;
-  t
-
 let pp ppf t =
   Format.fprintf ppf "ins=%d ext=%d dec=%d del=%d meld=%d" t.inserts
     t.extract_mins t.decrease_keys t.deletes t.melds

@@ -18,9 +18,4 @@ val total : t -> int
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
-val merge : t -> t -> t
-(** Functional combination: a fresh counter record holding the sums of
-    the two arguments, which are left untouched.  Safe for combining
-    per-domain counters at a parallel join. *)
-
 val pp : Format.formatter -> t -> unit

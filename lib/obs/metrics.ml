@@ -400,17 +400,3 @@ let of_prometheus text =
   match !error with
   | Some msg -> Error msg
   | None -> Ok t
-
-let pp_summary ppf t =
-  let first = ref true in
-  List.iter
-    (fun it ->
-      if !first then first := false else Format.fprintf ppf "@,";
-      match it with
-      | Counter c -> Format.fprintf ppf "%s = %d" c.c_name c.c_value
-      | Gauge g -> Format.fprintf ppf "%s = %g" g.g_name g.g_value
-      | Histogram h ->
-        Format.fprintf ppf
-          "%s: count=%d mean=%.3f p50<=%g p99<=%g max=%.3f" h.h_name
-          h.h_count (hist_mean h) (quantile h 0.5) (quantile h 0.99) h.h_max)
-    (items t)

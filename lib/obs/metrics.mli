@@ -70,6 +70,3 @@ val of_prometheus : string -> (t, string) result
     exactly; histograms round-trip their bucket counts, [_sum] and
     [_count], while the max — absent from the wire format — is
     restored as the upper bound of the top non-empty bucket. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One line per metric inside the caller's vertical box. *)

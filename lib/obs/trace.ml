@@ -158,11 +158,6 @@ let configure ?capacity () =
    request's phase timing against the access log's clock stamps *)
 let preallocate () = ignore (buffer () : buf)
 
-let reset () =
-  Mutex.lock registry_mutex;
-  List.iter (fun b -> b.len <- 0) !tracks;
-  Mutex.unlock registry_mutex
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                            *)
 (* ------------------------------------------------------------------ *)

@@ -65,9 +65,6 @@ val preallocate : unit -> unit
     wall-clock phases against trace events (the cluster router) call
     this right after {!configure}. *)
 
-val reset : unit -> unit
-(** Clear every ring without deallocating it. *)
-
 type event = {
   ev_dom : int;
   ev_ts : int;

@@ -56,7 +56,10 @@ gate --speedup bench-e14.json 4 1.2
 # gates E13 again with its structural-step rows (E13c): the components
 # the steps re-solved exactly, and each step's within-run step_ms /
 # reference_ms (a full re-partition of the same graph) at most 2x the
-# recorded ratio; their words per step are recorded, not gated.
+# recorded ratio; BENCH_pr40.json gates E13 at the session graph
+# rebuilt in place, with each E13c row's major words per step at most
+# 1.25x the recorded count plus 32 words (the rule applies to
+# BENCH_pr39.json's rows too; minor words stay ungated).
 gate \
   BENCH_pr2.json bench-e12.json \
   BENCH_pr3.json bench-e13.json \
@@ -72,7 +75,8 @@ gate \
   BENCH_pr33.json bench-e22.json \
   BENCH_pr34.json bench-e23.json \
   BENCH_pr35.json bench-e20.json \
-  BENCH_pr39.json bench-e13.json
+  BENCH_pr39.json bench-e13.json \
+  BENCH_pr40.json bench-e13.json
 
 # E9 counts oracle calls and iterations only, so its table must match
 # the committed one line for line (the timing footer is dropped)

@@ -370,6 +370,19 @@ let test_nested_borrow_raises () =
   | Critical.Optimal _ -> ()
   | _ -> Alcotest.fail "the workspace was not returned"
 
+(* A workspace grown for m arcs keeps an eighth of headroom, so a
+   component that gains one arc borrows the same buffers.  Run in a
+   fresh domain, whose workspace no other test has grown. *)
+let test_workspace_headroom () =
+  let same =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let m = 1000 in
+           let costs = Probe.borrow ~n:10 ~m (fun ws -> ws.Probe.costs) in
+           Probe.borrow ~n:10 ~m:(m + 1) (fun ws -> ws.Probe.costs == costs)))
+  in
+  Alcotest.(check bool) "costs buffer reused at m + 1" true same
+
 let suite =
   suite
   @ Helpers.qtests [ qcheck_workspace_across_sizes ]
@@ -380,4 +393,6 @@ let suite =
         test_descent_allocates_no_major;
       Alcotest.test_case "nested workspace borrow raises" `Quick
         test_nested_borrow_raises;
+      Alcotest.test_case "workspace regrows with headroom" `Quick
+        test_workspace_headroom;
     ]

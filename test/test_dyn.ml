@@ -652,6 +652,115 @@ let qcheck_structural_partition =
         ~objective:(if max then Solver.Maximize else Solver.Minimize)
         seed)
 
+(* Consecutive insertions inside components outgrow the buffers the
+   session rebuilds its graph in, several times over (a graph of m
+   arcs grows them to m + m/8): every insertion still takes the local
+   path and leaves the partition a full re-partition would give.  Half
+   the scripts start from one cycle covering every node, the other
+   half from tie_graph's chain of components. *)
+let growth_script ~objective ~covering seed =
+  let rng = Rng.create seed in
+  let g =
+    if covering then begin
+      let n = 2 + Rng.int rng 8 in
+      Digraph.of_arcs n
+        (List.init n (fun u ->
+             (u, (u + 1) mod n, Rng.in_range rng 0 2, Rng.in_range rng 1 2)))
+    end
+    else tie_graph rng
+  in
+  let s = Dyn.create ~objective ~jobs:Helpers.default_jobs g in
+  Fun.protect ~finally:(fun () -> Dyn.close s) @@ fun () ->
+  let insertions = 60 and ok = ref true in
+  let before = (Dyn.partition s).Dyn.local_refreshes in
+  for _ = 1 to insertions do
+    let parts = (Dyn.partition s).Dyn.parts in
+    let nodes, _, _ = parts.(Rng.int rng (Array.length parts)) in
+    let pick () = nodes.(Rng.int rng (Array.length nodes)) in
+    ignore
+      (Dyn.add_arc s ~src:(pick ()) ~dst:(pick ())
+         ~weight:(Rng.in_range rng 0 2) ~transit:(Rng.in_range rng 1 2));
+    ok :=
+      !ok && partition_matches s
+      && show_answer
+           (cold_answer ~problem:Solver.Cycle_mean ~objective ~jobs:1
+              (Dyn.graph s))
+         = show_answer (session_answer s)
+  done;
+  !ok && (Dyn.partition s).Dyn.local_refreshes - before = insertions
+
+let qcheck_buffer_growth =
+  QCheck.Test.make
+    ~name:"dyn: local rebuilds past the buffers' capacity = full re-partition"
+    ~count:20
+    QCheck.(triple (int_range 0 1_000_000) bool bool)
+    (fun (seed, max, covering) ->
+      growth_script
+        ~objective:(if max then Solver.Maximize else Solver.Minimize)
+        ~covering seed)
+
+(* Two structural edits between queries re-partition in full, and a
+   component covering every node carries its answer over exactly when
+   its arcs are the same: an insertion undone before the query
+   re-solves nothing, a removal plus an insertion re-solves it. *)
+let covering_carry_over () =
+  let g =
+    Digraph.of_arcs 4
+      [ (0, 1, 1, 1); (1, 2, 1, 1); (2, 3, 1, 1); (3, 0, 1, 1); (0, 2, 4, 1) ]
+  in
+  let s = Dyn.create ~jobs:Helpers.default_jobs g in
+  Fun.protect ~finally:(fun () -> Dyn.close s) @@ fun () ->
+  let step what ~resolved =
+    let r = Option.get (Dyn.query s) in
+    Alcotest.(check string) what
+      (show_answer
+         (cold_answer ~problem:Solver.Cycle_mean ~objective:Solver.Minimize
+            ~jobs:1 (Dyn.graph s)))
+      (show_answer (session_answer s));
+    Alcotest.(check int) (what ^ ": resolved") resolved r.Dyn.resolved;
+    Alcotest.(check bool) (what ^ ": partition") true (partition_matches s)
+  in
+  step "first query" ~resolved:1;
+  let undone = Dyn.add_arc s ~src:1 ~dst:3 ~weight:0 ~transit:1 in
+  Dyn.remove_arc s undone;
+  step "insertion undone" ~resolved:0;
+  Dyn.remove_arc s 4;
+  ignore (Dyn.add_arc s ~src:2 ~dst:2 ~weight:(-3) ~transit:1);
+  step "chord swapped for a light self-loop" ~resolved:1
+
+(* A snapshot owns its arrays: the structural steps after it rebuild
+   the session's graph in place, in buffers the snapshot must not
+   share, and never touch the graph the session was created from. *)
+let snapshot_survives_rebuilds () =
+  let g = Circuit.generate ~seed:5 ~registers:64 () in
+  let base = Graph_io.to_string g in
+  let s = Dyn.create ~objective:Solver.Maximize ~jobs:Helpers.default_jobs g in
+  Fun.protect ~finally:(fun () -> Dyn.close s) @@ fun () ->
+  ignore (Dyn.query s);
+  let snap = Dyn.graph s in
+  let before = Graph_io.to_string snap in
+  let rng = Rng.create 7 in
+  let n = Dyn.n s in
+  let inserted = ref [] in
+  for i = 1 to 40 do
+    (if i mod 3 = 0 && !inserted <> [] then begin
+       Dyn.remove_arc s (List.hd !inserted);
+       inserted := List.tl !inserted
+     end
+     else
+       inserted :=
+         Dyn.add_arc s ~src:(Rng.int rng n) ~dst:(Rng.int rng n)
+           ~weight:(Rng.in_range rng (-5) 5) ~transit:1
+         :: !inserted);
+    Dyn.set_weight s 0 i;
+    ignore (Dyn.query s)
+  done;
+  Alcotest.(check bool) "the session took the local path" true
+    ((Dyn.partition s).Dyn.local_refreshes > 0);
+  Alcotest.(check string) "snapshot unchanged" before
+    (Graph_io.to_string snap);
+  Alcotest.(check string) "base graph unchanged" base (Graph_io.to_string g)
+
 (* ------------------------------------------------------------------ *)
 (* The dyn.rebuild span                                                *)
 (* ------------------------------------------------------------------ *)
@@ -757,8 +866,12 @@ let zero_transit_structural () =
 
 let suite =
   suite
-  @ Helpers.qtests [ qcheck_structural_partition ]
+  @ Helpers.qtests [ qcheck_structural_partition; qcheck_buffer_growth ]
   @ [
+      Alcotest.test_case "a snapshot survives in-place rebuilds" `Quick
+        snapshot_survives_rebuilds;
+      Alcotest.test_case "two structural edits: exact carry-over" `Quick
+        covering_carry_over;
       Alcotest.test_case "dyn.rebuild spans structural steps only" `Quick
         rebuild_span;
       Alcotest.test_case "zero-transit ratio: structural edits, then cured"
